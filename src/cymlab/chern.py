@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cym import FOUR_PI2, CymConfig, CymState
-from .errors import BranchFailure, ValidationError
+from .errors import ValidationError
 from .grids import (BiTorusGrid, Form11Field, ScalarField, ddbar, integrate,
                     wedge_pair, wedge_square)
 from .theta import SectionData, gradient_density
@@ -73,9 +73,9 @@ def represent_ch2(cfg: CymConfig, sec: SectionData, h1_weight: ScalarField) -> S
 
     Omega is the background form.  With u the zero-mean potential of
     (8 (2 pi)^2/alpha)(1 - e) and S1 = S0 e^{-h1_weight}, the pointwise branch
-    equation S1 exp(-w) + 2 tau w = u + Cshift is solved on the increasing
-    branch w > ln(S1/(2 tau)), which stays smooth through the zeros of the
-    section; the returned factor is f2 = exp(w).
+    equation S1 exp(-w) + 2 tau w = u + Cshift is solved in closed form on the
+    increasing branch w > ln(S1/(2 tau)), which stays smooth through the zeros
+    of the section; the returned factor is f2 = exp(w).
     """
     if cfg.alpha <= 0.0:
         raise ValidationError("representation needs alpha > 0")
@@ -90,18 +90,13 @@ def represent_ch2(cfg: CymConfig, sec: SectionData, h1_weight: ScalarField) -> S
     cshift = float(np.max(branch_val - u)) + 1.0
     t = u + cshift
 
-    w = t / two_tau            # starts above the root on the increasing branch
-    for _ in range(100):
-        gw = S1 * np.exp(-w) + two_tau * w
-        err = gw - t
-        if np.max(np.abs(err)) <= 1e-13 * max(1.0, float(np.max(np.abs(t)))):
-            break
-        gp = two_tau - S1 * np.exp(-w)
-        if np.min(gp) <= 0.0:
-            raise BranchFailure("left the monotone branch during the pointwise solve")
-        w = w - err / gp
-    else:
-        raise BranchFailure("pointwise branch equation did not converge")
+    # substituting w = t/(2 tau) + v turns the branch equation into
+    # v e^v = -(S1/(2 tau)) e^{-t/(2 tau)}; the increasing branch is v > -1,
+    # the principal Lambert W branch, and the shift keeps its argument > -1/e;
+    # scipy.special is imported here, since loading it with the module adds
+    # about 60 ms to every CLI start
+    from scipy.special import lambertw
+    w = t / two_tau + np.real(lambertw(-(S1 / two_tau) * np.exp(-t / two_tau)))
     return ScalarField(g, np.exp(w))
 
 

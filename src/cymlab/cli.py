@@ -27,10 +27,9 @@ from .config import (build_cym_config, build_segre_params, config_echo,
                      get_float, get_floats, get_int, get_str, load_config)
 from .cwf import dump_json, dump_jsonl, read_field, stable_hash, write_field, write_profile_csv
 from .cym import CymConfig, CymState, Tolerances, eliminate_phiK
-from .errors import (BranchFailure, CymlabError, GridMismatch, InfeasibleDegree,
-                     LatticeMismatch, MassMismatch, NoConvergence, NonZeroMean,
-                     NotConverged, NotElliptic, PositivityLost, RhsNotPositive,
-                     ValidationError)
+from .errors import (CymlabError, GridMismatch, InfeasibleDegree, LatticeMismatch,
+                     MassMismatch, NoConvergence, NonZeroMean, NotConverged,
+                     NotElliptic, PositivityLost, RhsNotPositive, ValidationError)
 from .grids import BiTorusGrid, Lattice, ScalarField, TorusGrid
 from .monge_ampere import (assemble_ma, certify_positivity, ma_residual,
                            solve_ma, synthetic_conformal_data)
@@ -40,8 +39,7 @@ from .theta import SectionData, ThetaBundle, build_section
 
 _VALIDATION = (ValidationError, InfeasibleDegree, RhsNotPositive, MassMismatch,
                NonZeroMean, LatticeMismatch, GridMismatch)
-_NONCONVERGENCE = (NoConvergence, NotElliptic, PositivityLost, BranchFailure,
-                   NotConverged)
+_NONCONVERGENCE = (NoConvergence, NotElliptic, PositivityLost, NotConverged)
 
 
 class _Stages:

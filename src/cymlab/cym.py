@@ -120,11 +120,6 @@ class CymState:
     def w_sigma_values(self) -> np.ndarray:
         return 1.0 + self.grid.lap_values(self.phiK.values)
 
-    @classmethod
-    def flat(cls, grid: TorusGrid) -> "CymState":
-        z = ScalarField.constant(grid, 0.0)
-        return cls(z, z, z)
-
 
 def residuals(state: CymState, cfg: CymConfig, sec: SectionData):
     """Residual densities (R1, R2, R3) of the three coupled equations."""

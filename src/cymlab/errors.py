@@ -45,9 +45,5 @@ class MassMismatch(CymlabError):
     """Total-mass compatibility between data densities failed."""
 
 
-class BranchFailure(CymlabError):
-    """The scalar branch equation has no admissible root at some point."""
-
-
 class ValidationError(CymlabError):
     """Bad configuration or malformed input file."""

@@ -121,9 +121,6 @@ class TorusGrid:
     def dz_values(self, a: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(self.dz_mult * np.fft.fft2(a))
 
-    def dzbar_values(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(self.dzbar_mult * np.fft.fft2(a))
-
     def integrate_values(self, a: np.ndarray) -> float:
         return float(self.vol * np.mean(a))
 
@@ -177,15 +174,6 @@ class TorusGrid:
     def nyquist_part(self, a: np.ndarray) -> np.ndarray:
         """Content of a on the Nyquist lines (mean excluded)."""
         return np.real(np.fft.ifft2(np.fft.fft2(a) * self._nyquist_mask))
-
-    @cached_property
-    def dense_nyquist_projector(self) -> np.ndarray:
-        """Real-space matrix of nyquist_part acting on flattened fields."""
-        n2 = self.n * self.n
-        basis = np.eye(n2).reshape(n2, self.n, self.n)
-        cols = np.real(np.fft.ifft2(self._nyquist_mask[None, :, :]
-                                    * np.fft.fft2(basis, axes=(1, 2)), axes=(1, 2)))
-        return cols.reshape(n2, n2).T
 
     def __eq__(self, other):
         return (isinstance(other, TorusGrid) and self.n == other.n
@@ -318,9 +306,6 @@ class ScalarField:
             return ScalarField(self.grid, self.values - other.values)
         return ScalarField(self.grid, self.values - other)
 
-    def __rsub__(self, other):
-        return ScalarField(self.grid, other - self.values)
-
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             _check_same_grid(self, other)
@@ -388,11 +373,6 @@ class Form11Field:
         _check_same_grid(self, other)
         return Form11Field(self.grid, self.b11 + other.b11, self.b12 + other.b12,
                            self.b21 + other.b21, self.b22 + other.b22)
-
-    def __sub__(self, other: "Form11Field") -> "Form11Field":
-        _check_same_grid(self, other)
-        return Form11Field(self.grid, self.b11 - other.b11, self.b12 - other.b12,
-                           self.b21 - other.b21, self.b22 - other.b22)
 
     def __mul__(self, c: float) -> "Form11Field":
         return Form11Field(self.grid, c * self.b11, c * self.b12, c * self.b21, c * self.b22)

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import ConformalChernData, conformal_chern, kl_slack
-from .errors import (MassMismatch, NoConvergence, PositivityLost,
-                     RhsNotPositive, ValidationError)
+from .errors import MassMismatch, RhsNotPositive, ValidationError
 from .grids import (BiTorusGrid, Form11Field, ScalarField, ddbar, wedge_pair,
                     wedge_square)
-from .solvers import NewtonOptions, _krylov
+from .solvers import NewtonOptions, _damped_newton, _krylov
 
 _BORDER_SIGMA = 8.0
 
@@ -116,49 +115,29 @@ def solve_ma(prob: MAProblem, opts: NewtonOptions | None = None) -> ScalarField:
     opts = opts or NewtonOptions()
     g = prob.grid
     tol = opts.tol_res if opts.tol_res is not None else 1e-10
-    if not _total_form_positive(prob.base):
-        raise PositivityLost("base form is not pointwise positive")
-    phi = np.zeros(g.shape)
-    b = prob.base
-    # converge on the component of the residual the operator can reach; the
-    # invisible remainder is pure discretization tail and shrinks with the grid
-    res = g.project_resolved(prob.kappa * wedge_square(b).values - prob.rhs.values)
-    merit = float(np.max(np.abs(res)))
-    for _ in range(opts.max_iter):
-        if merit <= tol:
-            break
 
-        def matvec(x, b=b):
+    def evaluate(phi):
+        b = prob.base + ddbar(ScalarField(g, phi))
+        if not _total_form_positive(b):
+            return None
+        # converge on the component of the residual the operator can reach; the
+        # invisible remainder is pure discretization tail and shrinks with the grid
+        res = g.project_resolved(prob.kappa * wedge_square(b).values - prob.rhs.values)
+        return float(np.max(np.abs(res))), (b, res)
+
+    def solve(phi, data):
+        b, res = data
+
+        def matvec(x):
             delta = ScalarField(g, x.reshape(g.shape))
             out = 2.0 * prob.kappa * wedge_pair(b, ddbar(delta)).values
             return out.ravel() + _BORDER_SIGMA * g.invisible_part(x.reshape(g.shape)).ravel()
 
         step = _krylov(matvec, -res.ravel(), _ma_precond(g, prob.kappa, b),
                        opts.krylov_tol, opts.krylov_maxiter)
-        dphi = step.reshape(g.shape)
-        t = 1.0
-        positivity_blocked = False
-        while True:
-            trial = g.project_resolved(phi + t * dphi)
-            bt = prob.base + ddbar(ScalarField(g, trial))
-            if not _total_form_positive(bt):
-                positivity_blocked = True
-            else:
-                rt = g.project_resolved(prob.kappa * wedge_square(bt).values
-                                        - prob.rhs.values)
-                mt = float(np.max(np.abs(rt)))
-                if mt <= (1.0 - 0.5 * t) * merit:
-                    phi, b, res, merit = trial, bt, rt, mt
-                    break
-                positivity_blocked = False
-            t *= opts.damping
-            if t < opts.min_step:
-                if positivity_blocked:
-                    raise PositivityLost(
-                        f"stepping lost pointwise positivity at residual {merit:.3e}")
-                raise NoConvergence(f"line search stalled at residual {merit:.3e}")
-    else:
-        raise NoConvergence(f"exhausted {opts.max_iter} iterations at residual {merit:.3e}")
+        return g.project_resolved(step.reshape(g.shape))
+
+    phi, _, _ = _damped_newton(np.zeros(g.shape), evaluate, solve, opts, tol, "Monge-Ampere")
     return ScalarField(g, phi)
 
 

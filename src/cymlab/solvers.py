@@ -15,7 +15,9 @@ square Newton matrix is the true Jacobian plus the rank-one border
 sigma * ones * mean(psi2_dot); the bordered solution solves the original
 consistent system and pins mean(psi2_dot) = 0.
 
-Linear solves are dense LU for n <= 32 and preconditioned LGMRES above.
+Both stages, and the Monge-Ampere solve, run through one damped-Newton
+driver whose linear solves are matrix-free preconditioned LGMRES at every
+grid size.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, lu_factor, lu_solve
+from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .cym import (FOUR_PI2, CymConfig, CymState, constraint_integral, eliminate_phiK,
@@ -43,29 +45,62 @@ class NewtonOptions:
     tol_res: float | None = None      # sup-norm target; default cfg.tol.newton
     damping: float = 0.5
     min_step: float = 1e-6
-    linear_solver: str = "auto"       # auto | dense | krylov
     krylov_tol: float = 1e-12
     krylov_maxiter: int = 800
-
-    def mode(self, n: int) -> str:
-        if self.linear_solver == "auto":
-            return "dense" if n <= 32 else "krylov"
-        if self.linear_solver not in ("dense", "krylov"):
-            raise ValidationError(f"unknown linear solver {self.linear_solver!r}")
-        return self.linear_solver
 
 
 def _krylov(matvec, b: np.ndarray, precond, rtol: float, maxiter: int) -> np.ndarray:
     n = b.size
     A = LinearOperator((n, n), matvec=matvec)
     M = LinearOperator((n, n), matvec=precond) if precond is not None else None
-    try:
-        x, info = lgmres(A, b, M=M, rtol=rtol, atol=0.0, maxiter=maxiter)
-    except TypeError:  # older scipy spelling
-        x, info = lgmres(A, b, M=M, tol=rtol, atol=0.0, maxiter=maxiter)
+    x, info = lgmres(A, b, M=M, rtol=rtol, atol=0.0, maxiter=maxiter)
     if info != 0:
         raise NoConvergence(f"inner linear solve did not converge (info={info})")
     return x
+
+
+def _damped_newton(x: np.ndarray, evaluate, solve, opts: NewtonOptions, tol: float,
+                   stage: str, check=None):
+    """Damped Newton with Armijo backtracking on a sup-norm merit.
+
+    evaluate(x) returns (merit, data), or None when x is inadmissible;
+    solve(x, data) returns the Newton step at x, already in the gauge of x;
+    check(data), when given, vets every accepted iterate and raises to refuse
+    it.  The merit is tested after every step, the last allowed one included.
+    Returns (x, data, steps).  A stalled line search raises PositivityLost when
+    its last trial was inadmissible and NoConvergence otherwise; every message
+    names the stage.
+    """
+    trial = evaluate(x)
+    if trial is None:
+        raise PositivityLost(f"{stage} start point is not admissible")
+    steps = 0
+    while True:
+        # trial is the only other reference to data, so accepting a step frees
+        # the previous iterate's arrays
+        merit, data = trial
+        if check is not None:
+            check(data)
+        if merit <= tol:
+            return x, data, steps
+        if steps == opts.max_iter:
+            raise NoConvergence(f"{stage} Newton exhausted {opts.max_iter} iterations "
+                                f"at residual {merit:.3e}")
+        dx = solve(x, data)
+        t = 1.0
+        while True:
+            xt = x + t * dx
+            trial = evaluate(xt)
+            if trial is not None and trial[0] <= (1.0 - 0.5 * t) * merit:
+                break
+            t *= opts.damping
+            if t < opts.min_step:
+                if trial is None:
+                    raise PositivityLost(f"{stage} line search lost admissibility "
+                                         f"at residual {merit:.3e}")
+                raise NoConvergence(f"{stage} line search stalled at residual {merit:.3e}")
+        x = xt
+        steps += 1
 
 
 # -- vortex stage -------------------------------------------------------------
@@ -77,26 +112,6 @@ def vortex_residual(psi: ScalarField, cfg: CymConfig, sec: SectionData) -> Scala
     e = cfg.eta_values(g)
     r = sec.rho0.values + g.lap_values(psi.values) + 0.5 * (S - cfg.tau) * e
     return ScalarField(g, r)
-
-
-def _scalar_elliptic_solve(g: TorusGrid, c: np.ndarray, rhs: np.ndarray,
-                           opts: NewtonOptions) -> np.ndarray:
-    """Solve (lap - diag(c)) x = rhs with c >= 0 somewhere positive."""
-    if opts.mode(g.n) == "dense":
-        A = g.dense_laplacian - np.diag(c.ravel())
-        return np.linalg.solve(A, rhs.ravel()).reshape(g.shape)
-
-    def matvec(x):
-        xf = x.reshape(g.shape)
-        return (g.lap_values(xf) - c * xf).ravel()
-
-    cbar = float(np.mean(c))
-    sym = g.lap_mult - cbar
-
-    def precond(x):
-        return np.real(np.fft.ifft2(np.fft.fft2(x.reshape(g.shape)) / sym)).ravel()
-
-    return _krylov(matvec, rhs.ravel(), precond, opts.krylov_tol, opts.krylov_maxiter).reshape(g.shape)
 
 
 def solve_vortex(sec: SectionData, cfg: CymConfig, opts: NewtonOptions | None = None,
@@ -115,32 +130,29 @@ def solve_vortex(sec: SectionData, cfg: CymConfig, opts: NewtonOptions | None = 
     # drive below the target so downstream stages keep their own tolerance budget
     tol = 0.1 * (opts.tol_res if opts.tol_res is not None else cfg.tol.newton)
 
-    def resid(p):
-        return sec.rho0.values + g.lap_values(p) + 0.5 * (sec.S0.values * np.exp(-p) - cfg.tau) * e
+    def evaluate(p):
+        r = vortex_residual(ScalarField(g, p), cfg, sec).values
+        return float(np.max(np.abs(r))), r
 
-    r = resid(psi)
-    rn = np.max(np.abs(r))
-    for _ in range(opts.max_iter):
-        if rn <= tol:
-            break
-        S = sec.S0.values * np.exp(-psi)
-        delta = _scalar_elliptic_solve(g, 0.5 * S * e, -r, opts)
-        t = 1.0
-        while True:
-            r_new = resid(psi + t * delta)
-            rn_new = np.max(np.abs(r_new))
-            if rn_new <= (1.0 - 0.5 * t) * rn:
-                psi = psi + t * delta
-                r, rn = r_new, rn_new
-                break
-            t *= opts.damping
-            if t < opts.min_step:
-                raise NoConvergence(f"vortex line search stalled at residual {rn:.3e}")
-    else:
-        raise NoConvergence(f"vortex Newton exhausted {opts.max_iter} iterations at {rn:.3e}")
+    def solve(p, r):
+        # (lap - diag(c)) x = -r with c = (S/2) e >= 0, preconditioned by the
+        # Laplacian symbol shifted by mean(c)
+        S = sec.S0.values * np.exp(-p)
+        c = 0.5 * S * e
+        sym = g.lap_mult - float(np.mean(c))
 
-    S = sec.S0.values * np.exp(-psi)
-    smax = float(np.max(S))
+        def matvec(x):
+            xf = x.reshape(g.shape)
+            return (g.lap_values(xf) - c * xf).ravel()
+
+        def precond(x):
+            return np.real(np.fft.ifft2(np.fft.fft2(x.reshape(g.shape)) / sym)).ravel()
+
+        return _krylov(matvec, -r.ravel(), precond, opts.krylov_tol,
+                       opts.krylov_maxiter).reshape(g.shape)
+
+    psi, _, _ = _damped_newton(psi, evaluate, solve, opts, tol, "vortex")
+    smax = float(np.max(sec.S0.values * np.exp(-psi)))
     if smax > cfg.tau * (1.0 + cfg.tol.ineq):
         raise NoConvergence(f"max principle post-check failed: max S = {smax:.12g} > tau")
     return ScalarField(g, psi)
@@ -203,28 +215,6 @@ def _slaved_jacobian_matvec(g: TorusGrid, cfg: CymConfig, S: np.ndarray, w: np.n
     return out
 
 
-def _slaved_jacobian_dense(g: TorusGrid, cfg: CymConfig, S: np.ndarray,
-                           w: np.ndarray) -> np.ndarray:
-    D = g.dense_laplacian
-    n2 = D.shape[0]
-    Sf = S.ravel()
-    wf = w.ravel()
-    lam = cfg.lam
-    ca = cfg.alpha / (8.0 * FOUR_PI2)
-    k1 = (Sf / 4.0 - 2.0 * lam)[:, None]
-    k2 = (cfg.tau / 2.0 - Sf / 4.0 - 2.0 * lam)[:, None]
-    DS = D * Sf[None, :]
-    diag_sw = np.diag(Sf * wf / 4.0)
-    J11 = D - diag_sw - ca * (k1 * DS)
-    J12 = D - (2.0 * cfg.tau * ca) * (k1 * D)
-    J21 = diag_sw - ca * (k2 * DS)
-    J22 = D - (2.0 * cfg.tau * ca) * (k2 * D)
-    M = np.block([[J11, J12], [J21, J22]])
-    M[:, n2:] += _BORDER_SIGMA / n2
-    M[n2:, n2:] += _BORDER_SIGMA * g.dense_nyquist_projector
-    return M
-
-
 def _frozen_coefficient_precond(g: TorusGrid, cfg: CymConfig, S: np.ndarray, w: np.ndarray):
     """Per-mode 2x2 solve of the corrector Jacobian with spatially averaged
     coefficients; exact for constant data.  Modes annihilated by the Laplacian
@@ -263,11 +253,12 @@ def _frozen_coefficient_precond(g: TorusGrid, cfg: CymConfig, S: np.ndarray, w: 
 
 
 def _corrector_residual(g, cfg, sec, psi, psi2):
+    """Merit max(|R1|, |R2|) with phiK slaved, and (state, R1, R2) as data."""
     phiK = eliminate_phiK(ScalarField(g, psi), ScalarField(g, psi2), cfg, sec)
     state = CymState(ScalarField(g, psi), ScalarField(g, psi2), phiK)
     r1, r2, _ = residuals(state, cfg, sec)
     merit = max(np.max(np.abs(r1.values)), np.max(np.abs(r2.values)))
-    return state, r1.values, r2.values, merit
+    return merit, (state, r1.values, r2.values)
 
 
 def _newton_correct_impl(state: CymState, cfg: CymConfig, sec: SectionData,
@@ -276,42 +267,27 @@ def _newton_correct_impl(state: CymState, cfg: CymConfig, sec: SectionData,
     tol = opts.tol_res if opts.tol_res is not None else cfg.tol.newton
     if satisfaction_value(cfg) <= 0.0:
         raise NotElliptic(f"satisfaction gate closed: {satisfaction_value(cfg):.6g} <= 0")
-    psi = np.array(state.psi.values, dtype=float)
-    psi2 = g.project_resolved(np.array(state.psi2.values, dtype=float))
-    cur, r1, r2, merit = _corrector_residual(g, cfg, sec, psi, psi2)
-    iters = 0
-    for _ in range(opts.max_iter):
-        det_min = float(np.min(ellipticity_determinant(cur, cfg, sec).values))
-        if det_min <= 0.0:
-            raise NotElliptic(f"pointwise ellipticity determinant hit {det_min:.6g}")
-        if merit <= tol:
-            break
+
+    def solve(x, data):
+        cur, r1, r2 = data
         S = cur.S_values(sec)
         w = cur.w_sigma_values()
-        rhs = -np.concatenate([r1.ravel(), r2.ravel()])
-        if opts.mode(g.n) == "dense":
-            step = lu_solve(lu_factor(_slaved_jacobian_dense(g, cfg, S, w)), rhs)
-        else:
-            precond = _frozen_coefficient_precond(g, cfg, S, w)
-            step = _krylov(lambda x: _slaved_jacobian_matvec(g, cfg, S, w, x), rhs,
-                           precond, opts.krylov_tol, opts.krylov_maxiter)
-        n2 = S.size
-        dpsi = step[:n2].reshape(g.shape)
-        dpsi2 = step[n2:].reshape(g.shape)
-        t = 1.0
-        while True:
-            trial = _corrector_residual(g, cfg, sec, psi + t * dpsi, psi2 + t * dpsi2)
-            if trial[3] <= (1.0 - 0.5 * t) * merit:
-                psi = psi + t * dpsi
-                psi2 = g.project_resolved(psi2 + t * dpsi2)
-                cur, r1, r2, merit = trial
-                break
-            t *= opts.damping
-            if t < opts.min_step:
-                raise NoConvergence(f"corrector line search stalled at residual {merit:.3e}")
-        iters += 1
-    else:
-        raise NoConvergence(f"corrector exhausted {opts.max_iter} iterations at {merit:.3e}")
+        step = _krylov(lambda v: _slaved_jacobian_matvec(g, cfg, S, w, v),
+                       -np.concatenate([r1.ravel(), r2.ravel()]),
+                       _frozen_coefficient_precond(g, cfg, S, w),
+                       opts.krylov_tol, opts.krylov_maxiter)
+        return step.reshape(x.shape)
+
+    def check(data):
+        det_min = float(np.min(ellipticity_determinant(data[0], cfg, sec).values))
+        if det_min <= 0.0:
+            raise NotElliptic(f"pointwise ellipticity determinant hit {det_min:.6g}")
+
+    # x stacks (psi, psi2); the state built in each evaluation fixes the psi2 gauge
+    _, (cur, _, _), iters = _damped_newton(
+        np.stack([state.psi.values, state.psi2.values]),
+        lambda x: _corrector_residual(g, cfg, sec, x[0], x[1]),
+        solve, opts, tol, "corrector", check)
 
     w_min = float(np.min(cur.w_sigma_values()))
     if w_min <= 0.0:
@@ -319,13 +295,13 @@ def _newton_correct_impl(state: CymState, cfg: CymConfig, sec: SectionData,
     smax = float(np.max(cur.S_values(sec)))
     if smax > cfg.tau * (1.0 + cfg.tol.ineq):
         raise NoConvergence(f"max principle post-check failed: max S = {smax:.12g} > tau")
-    return cur, iters, merit
+    return cur, iters
 
 
 def newton_correct(state: CymState, cfg: CymConfig, sec: SectionData,
                    opts: NewtonOptions | None = None) -> CymState:
     """Correct a predictor state to a solution of the coupled system at cfg.alpha."""
-    out, _, _ = _newton_correct_impl(state, cfg, sec, opts or NewtonOptions())
+    out, _ = _newton_correct_impl(state, cfg, sec, opts or NewtonOptions())
     return out
 
 
@@ -397,7 +373,7 @@ def continue_in_alpha(cfg: CymConfig, sec: SectionData, alphas,
                     f"{satisfaction_value(cfga):.6g} <= 0")
             break
         try:
-            state, iters, _ = _newton_correct_impl(state, cfga, sec, opts)
+            state, iters = _newton_correct_impl(state, cfga, sec, opts)
         except (NotElliptic, NoConvergence, PositivityLost) as err:
             note = f"stopped before alpha={a:.6g}: {type(err).__name__}: {err}"
             break
@@ -429,7 +405,7 @@ def adjoint_min_singular_value(state: CymState, cfg: CymConfig, sec: SectionData
     if g.n > 64:
         raise ValidationError("adjoint certificate is a desk-scale tool; need n <= 64")
     tol = tol if tol is not None else cfg.tol.newton
-    _, _, _, merit = _corrector_residual(g, cfg, sec, state.psi.values, state.psi2.values)
+    merit, _ = _corrector_residual(g, cfg, sec, state.psi.values, state.psi2.values)
     if merit > tol:
         raise NotConverged(f"certificate needs a solved state: residual {merit:.3e} > {tol:.1e}")
     S = state.S_values(sec).ravel()

@@ -74,6 +74,24 @@ def test_represent_ch2_potential_identity(sec32):
     assert np.max(S1 / f2.values) < 2.0 * cfg.tau
 
 
+def test_represent_ch2_branch_equation(sec32):
+    # the closed-form root solves S1 e^{-w} + 2 tau w = u + cshift to rounding
+    # and lies on the increasing branch, where 2 tau - S1 e^{-w} > 0
+    cfg, h1 = _rep_inputs(sec32, seed=7)
+    g = sec32.grid
+    w = np.log(represent_ch2(cfg, sec32, h1).values)
+    S1 = sec32.S0.values * np.exp(-h1.values)
+    two_tau = 2.0 * cfg.tau
+    u = g.invert_values((8.0 * FOUR_PI2 / cfg.alpha) * (1.0 - cfg.eta_values(g)))
+    pos = S1 > 0.0
+    branch_val = np.full(g.shape, -np.inf)
+    branch_val[pos] = two_tau * (1.0 + np.log(S1[pos] / two_tau))
+    t = u + float(np.max(branch_val - u)) + 1.0
+    resid = S1 * np.exp(-w) + two_tau * w - t
+    assert np.max(np.abs(resid)) <= 1e-13 * max(1.0, float(np.max(np.abs(t))))
+    assert np.min(two_tau - S1 * np.exp(-w)) > 0.0
+
+
 def test_represent_ch2_needs_coupling(sec32):
     cfg, h1 = _rep_inputs(sec32)
     with pytest.raises(ValidationError):

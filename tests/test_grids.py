@@ -97,15 +97,6 @@ def test_resolved_projection(grid32):
     assert np.max(np.abs(back - a)) <= 1e-12
 
 
-def test_dense_nyquist_projector(square_lat):
-    g = TorusGrid(8, square_lat, VOL)
-    P = g.dense_nyquist_projector
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal(g.shape)
-    assert np.max(np.abs((P @ a.ravel()).reshape(g.shape) - g.nyquist_part(a))) <= 1e-12
-    assert np.max(np.abs(P @ P - P)) <= 1e-12
-
-
 def test_dense_laplacian_matches_fft(square_lat):
     g = TorusGrid(8, square_lat, VOL)
     rng = np.random.default_rng(7)

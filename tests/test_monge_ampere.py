@@ -5,8 +5,8 @@ import pytest
 from dataclasses import replace
 
 from cymlab.chern import ConformalChernData
-from cymlab.errors import (MassMismatch, NoConvergence, RhsNotPositive,
-                           ValidationError)
+from cymlab.errors import (MassMismatch, NoConvergence, PositivityLost,
+                           RhsNotPositive, ValidationError)
 from cymlab.grids import Form11Field, ScalarField, ddbar, wedge_square
 from cymlab.monge_ampere import (MAProblem, assemble_ma, certify_positivity,
                                  ma_residual, solve_ma, synthetic_conformal_data)
@@ -123,3 +123,12 @@ def test_solver_iteration_cap(bigrid16):
     prob = assemble_ma(data)
     with pytest.raises(NoConvergence):
         solve_ma(prob, NewtonOptions(max_iter=1))
+
+
+def test_non_positive_base_loses_positivity(bigrid16):
+    # the phi = 0 start is inadmissible when the base form is not positive
+    g = bigrid16
+    base = Form11Field.constant(g, 2.0, 0.0, -0.5)
+    prob = MAProblem(g, 2, base, ScalarField.constant(g, 1.0))
+    with pytest.raises(PositivityLost):
+        solve_ma(prob)

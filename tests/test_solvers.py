@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from cymlab.cym import (CymConfig, CymState, alpha_threshold, eliminate_phiK,
-                        residuals, satisfaction_value)
+from cymlab.cym import (FOUR_PI2, CymConfig, CymState, alpha_threshold, eliminate_phiK,
+                        ellipticity_determinant, residuals, satisfaction_value)
 from cymlab.errors import (InfeasibleDegree, NoConvergence, NotConverged,
-                           ValidationError)
+                           NotElliptic, ValidationError)
 from cymlab.grids import Lattice, ScalarField, TorusGrid
-from cymlab.solvers import (NewtonOptions, adjoint_min_singular_value,
+from cymlab.solvers import (_BORDER_SIGMA, NewtonOptions, _corrector_residual,
+                            _slaved_jacobian_matvec, adjoint_min_singular_value,
                             adjoint_sigma_min_symbol, apply_DT, continue_in_alpha,
                             newton_correct, solve_psi2, solve_vortex,
                             state_diagnostics, vortex_residual)
@@ -68,13 +69,6 @@ def test_vortex_nonconvergence_raises(sec32):
         solve_vortex(sec32, _cfg(), NewtonOptions(max_iter=1))
 
 
-def test_newton_options_mode():
-    assert NewtonOptions().mode(32) == "dense"
-    assert NewtonOptions().mode(64) == "krylov"
-    with pytest.raises(ValidationError):
-        NewtonOptions(linear_solver="cg").mode(32)
-
-
 def test_solve_psi2_zero_mean_and_r2(sec32):
     cfg = _cfg()
     psi = solve_vortex(sec32, cfg)
@@ -123,13 +117,104 @@ def test_newton_correct_from_perturbed_state(sec32):
     assert max(np.max(np.abs(r.values)) for r in rs) <= 1e-10
 
 
-@pytest.mark.parametrize("solver", ["dense", "krylov"])
-def test_corrector_solvers_agree(sec32, solver):
+def test_corrector_krylov_n32(sec32):
     cfg = _cfg(alpha=1.5)
     st = _state0(sec32, _cfg())
-    out = newton_correct(st, cfg, sec32, NewtonOptions(linear_solver=solver))
+    out = newton_correct(st, cfg, sec32)
     rs = residuals(out, cfg, sec32)
     assert max(np.max(np.abs(r.values)) for r in rs) <= 1e-10
+
+
+def _slaved_jacobian_reference(g, cfg, S, w):
+    """Dense (R1, R2) Jacobian with phiK slaved, plus the border, assembled
+    from the dense Laplacian and the dense Nyquist projector."""
+    n2 = g.n * g.n
+    D = g.dense_laplacian
+    eye = np.eye(n2).reshape(n2, *g.shape)
+    P = np.array([g.nyquist_part(b).ravel() for b in eye]).T
+    Sf, wf = S.ravel(), w.ravel()
+    lam = cfg.lam
+    ca = cfg.alpha / (8.0 * FOUR_PI2)
+    k1 = (Sf / 4.0 - 2.0 * lam)[:, None]
+    k2 = (cfg.tau / 2.0 - Sf / 4.0 - 2.0 * lam)[:, None]
+    DS = D * Sf[None, :]
+    diag_sw = np.diag(Sf * wf / 4.0)
+    J11 = D - diag_sw - ca * (k1 * DS)
+    J12 = D - (2.0 * cfg.tau * ca) * (k1 * D)
+    J21 = diag_sw - ca * (k2 * DS)
+    J22 = D - (2.0 * cfg.tau * ca) * (k2 * D)
+    M = np.block([[J11, J12], [J21, J22]])
+    M[:, n2:] += _BORDER_SIGMA / n2
+    M[n2:, n2:] += _BORDER_SIGMA * P
+    return M
+
+
+def test_slaved_jacobian_matvec_oracle(square_lat):
+    g = TorusGrid(8, square_lat, VOL)
+    sec = build_section(ThetaBundle(square_lat, 1), g)
+    cfg = _cfg(alpha=1.5, n=8)
+    st0 = _state0(sec, _cfg(n=8))
+    rng = np.random.default_rng(34)
+    psi = st0.psi.values + 0.1 * g.random_smooth(rng, kmax=2)
+    psi2 = st0.psi2.values
+    merit, (st, _, _) = _corrector_residual(g, cfg, sec, psi, psi2)
+    S, w = st.S_values(sec), st.w_sigma_values()
+    n2 = g.n * g.n
+
+    def matvec(x):
+        return _slaved_jacobian_matvec(g, cfg, S, w, x)
+
+    # column-by-column assembly of the matvec against the dense algebra
+    cols = np.array([matvec(e) for e in np.eye(2 * n2)]).T
+    ref = _slaved_jacobian_reference(g, cfg, S, w)
+    assert np.max(np.abs(cols - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # central differences of (R1, R2) with phiK slaved, along a gauge-free
+    # direction (psi2_dot without mean or Nyquist content, so the border is 0)
+    dpsi = g.random_smooth(rng, kmax=3)
+    dpsi2 = g.project_resolved(g.random_smooth(rng, kmax=3))
+    lin = matvec(np.concatenate([dpsi.ravel(), dpsi2.ravel()]))
+
+    def flat_res(t):
+        _, (_, r1, r2) = _corrector_residual(g, cfg, sec, psi + t * dpsi, psi2 + t * dpsi2)
+        return np.concatenate([r1.ravel(), r2.ravel()])
+
+    h = 1e-4
+    fd = (flat_res(h) - flat_res(-h)) / (2.0 * h)
+    assert np.max(np.abs(fd - lin)) <= 1e-8 * np.max(np.abs(lin))
+
+    # the border: a constant psi2_dot maps to sigma * c everywhere, and a
+    # Nyquist-line psi2_dot to sigma times itself in the R2 block only
+    c = np.concatenate([np.zeros(n2), np.full(n2, 0.7)])
+    assert np.max(np.abs(matvec(c) - _BORDER_SIGMA * 0.7)) <= 1e-12
+    nyq = np.cos(np.pi * g.n * g.x)
+    out = matvec(np.concatenate([np.zeros(n2), nyq.ravel()]))
+    assert np.max(np.abs(out[:n2])) <= 1e-12
+    assert np.max(np.abs(out[n2:] - _BORDER_SIGMA * nyq.ravel())) <= 1e-12
+
+
+def test_corrector_refuses_non_elliptic_start():
+    # a far start from the solution x* at alpha = 1 where the pointwise
+    # ellipticity determinant is already negative
+    lat = Lattice(1j)
+    g = TorusGrid(16, lat, VOL)
+    sec = build_section(ThetaBundle(lat, 1), g)
+    cfg = _cfg(alpha=1.0, n=16)
+    star = newton_correct(_state0(sec, _cfg(n=16)), cfg, sec)
+    rng = np.random.default_rng(0)
+    psi = star.psi + ScalarField(g, 4.0 * g.random_smooth(rng, kmax=3))
+    psi2 = star.psi2 + ScalarField(g, 4.0 * g.random_smooth(rng, kmax=3))
+    start = CymState(psi, psi2, eliminate_phiK(psi, psi2, cfg, sec))
+    assert np.min(ellipticity_determinant(start, cfg, sec).values) < 0.0
+    with pytest.raises(NotElliptic):
+        newton_correct(start, cfg, sec)
+
+
+def test_corrector_iteration_cap_names_stage(sec32):
+    cfg = _cfg(alpha=1.5)
+    st = _state0(sec32, _cfg())
+    with pytest.raises(NoConvergence, match="corrector"):
+        newton_correct(st, cfg, sec32, NewtonOptions(max_iter=1))
 
 
 def test_continuation_theta_gates(sec32):
