@@ -25,8 +25,7 @@ import numpy as np
 
 from .cym import FOUR_PI2, CymConfig, CymState
 from .errors import ValidationError
-from .grids import (BiTorusGrid, Form11Field, ScalarField, ddbar, integrate,
-                    wedge_pair, wedge_square)
+from .grids import BiTorusGrid, Form11Field, ScalarField, ddbar, wedge_pair, wedge_square
 from .theta import SectionData, gradient_density
 
 
@@ -100,16 +99,22 @@ def represent_ch2(cfg: CymConfig, sec: SectionData, h1_weight: ScalarField) -> S
     return ScalarField(g, np.exp(w))
 
 
-def represent_ch2_defect(cfg: CymConfig, sec: SectionData, h1_weight: ScalarField,
-                         f2: ScalarField) -> float:
-    """Sup-norm of 8 (1 - e) + alpha ch2 for the assembled metric; the verification."""
+def represent_ch2_diagnostics(cfg: CymConfig, sec: SectionData, h1_weight: ScalarField,
+                              f2: ScalarField) -> dict:
+    """Manifest diagnostics of a representation; represent-ch2 and its replay share them.
+
+    defect_sup is the sup-norm of 8 (1 - e) + alpha ch2 for the assembled
+    metric, the verification of the representation.
+    """
     g = sec.grid
     e = cfg.eta_values(g)
     w = np.log(f2.values)                # f2 = e^{w}, fiber weight psi2 = -w
     S = sec.S0.values * np.exp(-h1_weight.values) / f2.values
     r = 8.0 * (1.0 - e) + (cfg.alpha / FOUR_PI2) * (
         -g.lap_values(S) - 2.0 * cfg.tau * g.lap_values(w))
-    return float(np.max(np.abs(r)))
+    return {"defect_sup": float(np.max(np.abs(r))),
+            "f2_min": float(np.min(f2.values)), "f2_max": float(np.max(f2.values)),
+            "eta_min": float(np.min(e))}
 
 
 # -- conformal change on a rank-r bundle over the bi-torus --------------------
@@ -144,15 +149,17 @@ class ConformalChernData:
         return self.c1_0.grid
 
 
-def conformal_chern(data: ConformalChernData, phi: ScalarField):
+def conformal_chern(data: ConformalChernData, phi: ScalarField,
+                    dd: Form11Field | None = None):
     """(c1, c2, segre2) after the conformal change by phi.
 
     c1 = c1_0 + r ddc(phi);
     c2 = c2_0 + (r-1) ddc(phi)^c1_0 + (r(r-1)/2) ddc(phi)^2;
-    segre2 = c1^2 - c2 as a top density.
+    segre2 = c1^2 - c2 as a top density.  A caller that already holds
+    dd = ddc(phi) passes it, and the transform is skipped.
     """
     r = data.r
-    dd = ddbar(phi)
+    dd = ddbar(phi) if dd is None else dd
     c1 = data.c1_0 + r * dd
     c2 = (data.c2_0 + (r - 1) * wedge_pair(dd, data.c1_0)
           + (r * (r - 1) / 2.0) * wedge_square(dd))

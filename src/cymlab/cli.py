@@ -16,30 +16,32 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .chern import conformal_chern, represent_ch2, represent_ch2_defect
-from .config import (build_cym_config, build_segre_params, config_echo,
-                     get_float, get_floats, get_int, get_str, load_config)
+from .chern import conformal_chern, represent_ch2, represent_ch2_diagnostics
+from .config import (build_cym_config, build_segre_params, config_echo, get_float,
+                     get_floats, get_int, get_str, load_config, segre_echo)
 from .cwf import dump_json, dump_jsonl, read_field, stable_hash, write_field, write_profile_csv
-from .cym import CymConfig, CymState, Tolerances, eliminate_phiK
-from .errors import (CymlabError, GridMismatch, InfeasibleDegree, LatticeMismatch,
+from .cym import CymConfig, CymState
+from .errors import (GridMismatch, InfeasibleDegree, LatticeMismatch,
                      MassMismatch, NoConvergence, NonZeroMean, NotConverged,
                      NotElliptic, PositivityLost, RhsNotPositive, ValidationError)
 from .grids import BiTorusGrid, Lattice, ScalarField, TorusGrid
-from .monge_ampere import (assemble_ma, certify_positivity, ma_residual,
-                           solve_ma, synthetic_conformal_data)
-from .solvers import (NewtonOptions, continue_in_alpha, solve_psi2,
-                      solve_vortex, state_diagnostics)
+from .monge_ampere import (assemble_ma, segre_diagnostics, solve_ma,
+                           synthetic_conformal_data)
+from .solvers import (NewtonOptions, continue_in_alpha, solve_vortex, state_diagnostics,
+                      vortex_state)
 from .theta import SectionData, ThetaBundle, build_section
 
 _VALIDATION = (ValidationError, InfeasibleDegree, RhsNotPositive, MassMismatch,
                NonZeroMean, LatticeMismatch, GridMismatch)
 _NONCONVERGENCE = (NoConvergence, NotElliptic, PositivityLost, NotConverged)
+_CERTIFY_MAX_N = 32     # torus grids up to this size get the adjoint certificate
+_STATE_FILES = ("psi.cwf", "psi2.cwf", "phiK.cwf")
 
 
 class _Stages:
@@ -69,37 +71,56 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _build_section_for(cym: CymConfig, cfg: dict):
+# -- pipeline inputs: one builder per pipeline, from a config or a manifest echo
+
+
+def _torus_inputs(cfg: dict, n=None, tol=None):
+    """(CymConfig, SectionData) of vortex-solve, cym-continue and represent-ch2."""
+    cym = build_cym_config(cfg, n, tol)
     grid = cym.make_grid()
     kind = get_str(cfg, "section", "theta")
     if kind == "constant":
-        return SectionData.constant(grid, cym.d, get_float(cfg, "s0", 1.0))
+        return cym, SectionData.constant(grid, cym.d, get_float(cfg, "s0", 1.0))
     if kind == "theta":
-        return build_section(ThetaBundle(cym.lattice, cym.d), grid)
+        return cym, build_section(ThetaBundle(cym.lattice, cym.d), grid)
     raise ValidationError(f"unknown section kind {kind!r} (use constant or theta)")
 
 
-def _section_sidecar(sec, cfg: dict, cym: CymConfig) -> dict:
+def _segre_inputs(p: dict):
+    """(ConformalChernData, MAProblem) of segre-solve from build_segre_params output."""
+    grid = BiTorusGrid(p["n"], p["n"], Lattice(p["lat1"]), Lattice(p["lat2"]), p["vol"])
+    data = synthetic_conformal_data(grid, p["r"], p["epsilon"], p["seed"])
+    data.kl_const = p["kl_const"]
+    return data, assemble_ma(data)
+
+
+# -- outputs --------------------------------------------------------------------
+
+
+def _write_torus_inputs(outdir: Path, cfg: dict, cym: CymConfig, sec) -> list:
+    """S0, the section sidecar and, when set, eta of a torus run."""
     kind = get_str(cfg, "section", "theta")
-    side = {
+    zeros = ThetaBundle(cym.lattice, cym.d).effective_zeros() if kind == "theta" else None
+    dump_json(outdir / "section.json", {
         "degree": cym.d,
         "tau_lat": [cym.lattice.tau_lat.real, cym.lattice.tau_lat.imag],
         "vol": cym.vol,
         "section": kind,
-        "zero_points": None,
+        "zero_points": None if zeros is None else [[z.real, z.imag] for z in zeros],
         "s0": get_float(cfg, "s0", 1.0),
-    }
-    if kind == "theta":
-        bundle = ThetaBundle(cym.lattice, cym.d)
-        side["zero_points"] = [[z.real, z.imag] for z in bundle.effective_zeros()]
-    return side
+    })
+    write_field(outdir / "S0.cwf", sec.S0.values)
+    files = ["S0.cwf", "section.json"]
+    if cym.f_eta is not None:
+        write_field(outdir / "eta.cwf", cym.eta_values(sec.grid))
+        files.append("eta.cwf")
+    return files
 
 
 def _write_state(outdir: Path, state: CymState) -> list:
-    write_field(outdir / "psi.cwf", state.psi.values)
-    write_field(outdir / "psi2.cwf", state.psi2.values)
-    write_field(outdir / "phiK.cwf", state.phiK.values)
-    return ["psi.cwf", "psi2.cwf", "phiK.cwf"]
+    for name, f in zip(_STATE_FILES, (state.psi, state.psi2, state.phiK)):
+        write_field(outdir / name, f.values)
+    return list(_STATE_FILES)
 
 
 def _write_manifest(outdir: Path, command: str, cfg_echo: dict, grid_hashes: dict,
@@ -124,26 +145,16 @@ def _sigma_grid_hash(cym: CymConfig) -> dict:
 
 def cmd_vortex_solve(args) -> int:
     cfg = load_config(args.config)
-    cym = build_cym_config(cfg, args.n, args.tol).with_alpha(0.0)
     stages = _Stages()
     with stages.stage("section"):
-        sec = _build_section_for(cym, cfg)
-    g = sec.grid
-    opts = NewtonOptions(tol_res=args.tol)
+        cym, sec = _torus_inputs(cfg, args.n, args.tol)
+    cym = cym.with_alpha(0.0)
     with stages.stage("solve"):
-        psi = solve_vortex(sec, cym, opts)
-        psi2 = solve_psi2(psi, cym, sec)
-        state = CymState(psi, psi2, eliminate_phiK(psi, psi2, cym, sec))
+        state = vortex_state(sec, cym, NewtonOptions(tol_res=args.tol))
     with stages.stage("diagnostics"):
-        diag = state_diagnostics(state, cym, sec, with_certificate=cym.n <= 32)
+        diag = state_diagnostics(state, cym, sec, with_certificate=cym.n <= _CERTIFY_MAX_N)
     out = _out_dir(args)
-    files = _write_state(out, state)
-    write_field(out / "S0.cwf", sec.S0.values)
-    dump_json(out / "section.json", _section_sidecar(sec, cfg, cym))
-    files += ["S0.cwf", "section.json"]
-    if cym.f_eta is not None:
-        write_field(out / "eta.cwf", cym.eta_values(g))
-        files.append("eta.cwf")
+    files = _write_state(out, state) + _write_torus_inputs(out, cfg, cym, sec)
     xs = np.arange(cym.n) / cym.n
     write_profile_csv(out / "profile.csv", {
         "x": xs, "psi": state.psi.values[:, 0],
@@ -162,32 +173,23 @@ def cmd_vortex_solve(args) -> int:
 
 def cmd_cym_continue(args) -> int:
     cfg = load_config(args.config)
-    cym = build_cym_config(cfg, args.n, args.tol)
     alphas = get_floats(cfg, "alphas", [0.0])
     stages = _Stages()
     with stages.stage("section"):
-        sec = _build_section_for(cym, cfg)
-    opts = NewtonOptions(tol_res=args.tol)
+        cym, sec = _torus_inputs(cfg, args.n, args.tol)
     with stages.stage("continuation"):
-        records = continue_in_alpha(cym, sec, alphas, opts,
-                                    with_certificate=cym.n <= 32)
+        records = continue_in_alpha(cym, sec, alphas, NewtonOptions(tol_res=args.tol),
+                                    with_certificate=cym.n <= _CERTIFY_MAX_N)
     out = _out_dir(args)
-    files = []
-    rows = []
+    files, rows = [], []
     for i, rec in enumerate(records):
-        sub = out / f"state_{i:03d}"
-        sub.mkdir(exist_ok=True)
-        for f in _write_state(sub, rec.state):
-            files.append(f"state_{i:03d}/{f}")
+        sub = f"state_{i:03d}"
+        (out / sub).mkdir(exist_ok=True)
+        files += [f"{sub}/{f}" for f in _write_state(out / sub, rec.state)]
         rows.append({"alpha": rec.alpha, "note": rec.note,
-                     "diagnostics": rec.diagnostics, "state_dir": f"state_{i:03d}"})
+                     "diagnostics": rec.diagnostics, "state_dir": sub})
     dump_jsonl(out / "records.jsonl", rows)
-    write_field(out / "S0.cwf", sec.S0.values)
-    dump_json(out / "section.json", _section_sidecar(sec, cfg, cym))
-    files += ["records.jsonl", "S0.cwf", "section.json"]
-    if cym.f_eta is not None:
-        write_field(out / "eta.cwf", cym.eta_values(sec.grid))
-        files.append("eta.cwf")
+    files += ["records.jsonl"] + _write_torus_inputs(out, cfg, cym, sec)
     last = records[-1]
     summary = {"steps_accepted": len(records), "last_alpha": last.alpha,
                "note": last.note}
@@ -204,11 +206,10 @@ def cmd_cym_continue(args) -> int:
 
 def cmd_represent_ch2(args) -> int:
     cfg = load_config(args.config)
-    cym = build_cym_config(cfg, args.n, args.tol)
-    seed = args.seed if args.seed is not None else get_int(cfg, "seed", 0)
     stages = _Stages()
     with stages.stage("section"):
-        sec = _build_section_for(cym, cfg)
+        cym, sec = _torus_inputs(cfg, args.n, args.tol)
+    seed = args.seed if args.seed is not None else get_int(cfg, "seed", 0)
     g = sec.grid
     rng = np.random.default_rng(seed)
     if cym.f_eta is None:
@@ -218,22 +219,16 @@ def cmd_represent_ch2(args) -> int:
     h1 = ScalarField(g, h1_amp * g.random_smooth(rng, kmax=3))
     with stages.stage("solve"):
         f2 = represent_ch2(cym, sec, h1)
-        defect = represent_ch2_defect(cym, sec, h1, f2)
+    with stages.stage("diagnostics"):
+        diag = represent_ch2_diagnostics(cym, sec, h1, f2)
     out = _out_dir(args)
     write_field(out / "f2.cwf", f2.values)
     write_field(out / "h1.cwf", h1.values)
-    write_field(out / "eta.cwf", cym.eta_values(g))
-    write_field(out / "S0.cwf", sec.S0.values)
-    dump_json(out / "section.json", _section_sidecar(sec, cfg, cym))
-    files = ["f2.cwf", "h1.cwf", "eta.cwf", "S0.cwf", "section.json"]
-    diag = {"defect_sup": defect,
-            "f2_min": float(np.min(f2.values)), "f2_max": float(np.max(f2.values)),
-            "eta_min": float(np.min(cym.eta_values(g))),
-            "seed": seed, "h1_amp": h1_amp}
-    _write_manifest(out, "represent-ch2",
-                    config_echo(cfg, cym, {"h1_amp": h1_amp, "seed": seed}),
-                    _sigma_grid_hash(cym), files, diag, stages)
-    print(f"representation defect sup {defect:.3e}")
+    files = ["f2.cwf", "h1.cwf"] + _write_torus_inputs(out, cfg, cym, sec)
+    draws = {"h1_amp": h1_amp, "seed": seed}
+    _write_manifest(out, "represent-ch2", config_echo(cfg, cym, draws),
+                    _sigma_grid_hash(cym), files, {**diag, **draws}, stages)
+    print(f"representation defect sup {diag['defect_sup']:.3e}")
     print(f"wrote {out}")
     return 0
 
@@ -241,19 +236,14 @@ def cmd_represent_ch2(args) -> int:
 def cmd_segre_solve(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     p = build_segre_params(cfg, args.n, args.seed, args.tol)
-    grid = BiTorusGrid(p["n"], p["n"], Lattice(p["lat1"]), Lattice(p["lat2"]), p["vol"])
     stages = _Stages()
     with stages.stage("assemble"):
-        data = synthetic_conformal_data(grid, p["r"], p["epsilon"], p["seed"])
-        data.kl_const = p["kl_const"]
-        prob = assemble_ma(data)
+        data, prob = _segre_inputs(p)
     with stages.stage("solve"):
         phi = solve_ma(prob, NewtonOptions(tol_res=p["tol_res"]))
     with stages.stage("certify"):
-        cert = certify_positivity(data, phi)
-        res = ma_residual(prob, phi).values
+        diag, segre2 = segre_diagnostics(prob, data, phi)
     out = _out_dir(args)
-    _, _, segre2 = conformal_chern(data, phi)
     write_field(out / "phi.cwf", phi.values)
     write_field(out / "segre2.cwf", segre2.values)
     write_field(out / "eta.cwf", data.eta.values)
@@ -265,22 +255,15 @@ def cmd_segre_solve(args) -> int:
         "segre2": segre2.values[:, 0, 0, 0], "eta": data.eta.values[:, 0, 0, 0],
     })
     files.append("profile.csv")
-    echo = {"r": p["r"], "epsilon": p["epsilon"], "kl_const": p["kl_const"],
-            "n": p["n"], "vol": p["vol"], "seed": p["seed"],
-            "lat1_re": p["lat1"].real, "lat1_im": p["lat1"].imag,
-            "lat2_re": p["lat2"].real, "lat2_im": p["lat2"].imag,
-            "tol_res": p["tol_res"]}
-    diag = {"residual_sup": float(np.max(np.abs(res))),
-            "residual_resolved_sup": float(np.max(np.abs(grid.project_resolved(res)))),
-            "certificate": asdict(cert)}
     grids = {"factor1": stable_hash(p["n"], p["lat1"], p["vol"]),
              "factor2": stable_hash(p["n"], p["lat2"], p["vol"])}
-    _write_manifest(out, "segre-solve", echo, grids, files, diag, stages)
+    _write_manifest(out, "segre-solve", segre_echo(p), grids, files, diag, stages)
+    cert = diag["certificate"]
     print(f"ma residual sup {diag['residual_sup']:.3e} "
           f"(resolved {diag['residual_resolved_sup']:.3e})")
-    print(f"certificate minima: c1 {cert.min_c1_eig:.4f}, c2 {cert.min_c2:.4f}, "
-          f"segre2 {cert.min_segre2:.4f}")
-    print("positivity certificate " + ("PASSED" if cert.passed else "FAILED"))
+    print(f"certificate minima: c1 {cert['min_c1_eig']:.4f}, c2 {cert['min_c2']:.4f}, "
+          f"segre2 {cert['min_segre2']:.4f}")
+    print("positivity certificate " + ("PASSED" if cert["passed"] else "FAILED"))
     print(f"wrote {out}")
     return 0
 
@@ -340,9 +323,7 @@ def _verify_suite(n: int, seed: int) -> int:
         abs(section_norm_at(ThetaBundle(lat, 1), zp + lat.tau_lat) - base)) / base, 1e-12)
 
     cym = CymConfig(tau=2.0, alpha=0.0, d=1, vol=4.0 * np.pi ** 2, lattice=lat, n=n)
-    psi = solve_vortex(sec, cym)
-    psi2 = solve_psi2(psi, cym, sec)
-    state = CymState(psi, psi2, eliminate_phiK(psi, psi2, cym, sec))
+    state = vortex_state(sec, cym)
     from .cym import constraint_integral
     lhs, rhs_c = constraint_integral(state, cym, sec)
     _check(rows, "constraint integral", (lhs - rhs_c) / abs(rhs_c), 1e-8)
@@ -354,9 +335,9 @@ def _verify_suite(n: int, seed: int) -> int:
     g_hi = TorusGrid(n_hi, lat, 4.0 * np.pi ** 2)
     sec_hi = build_section(ThetaBundle(lat, 1), g_hi)
     cym_hi = replace(cym, n=n_hi)
-    psi_hi = solve_vortex(sec_hi, cym_hi)
+    state_hi = vortex_state(sec_hi, cym_hi)
     from .theta import weitzenbock_defect
-    wb = weitzenbock_defect(sec_hi, psi_hi).values
+    wb = weitzenbock_defect(sec_hi, state_hi.psi).values
     _check(rows, "weitzenbock nonnegativity",
            min(float(np.min(wb)), 0.0) / float(np.max(wb)), 1e-8)
 
@@ -370,9 +351,6 @@ def _verify_suite(n: int, seed: int) -> int:
 
     from .chern import ch2_form, ch2_form_curvature_route
     from .solvers import newton_correct
-    psi2_hi = solve_psi2(psi_hi, cym_hi, sec_hi)
-    state_hi = CymState(psi_hi, psi2_hi,
-                        eliminate_phiK(psi_hi, psi2_hi, cym_hi, sec_hi))
     cyma = replace(cym_hi, alpha=1.0)
     sta = newton_correct(state_hi, cyma, sec_hi)
     forms = ch2_form(sta, cyma, sec_hi)
@@ -408,98 +386,64 @@ def _verify_suite(n: int, seed: int) -> int:
     return 0 if ok else 2
 
 
-def _rebuild_cym_from_echo(echo: dict, run: Path) -> CymConfig:
-    lat = Lattice(echo["tau_lat_re"] + 1j * echo["tau_lat_im"])
-    f_eta = None
-    if (run / "eta.cwf").exists():
-        grid = TorusGrid(echo["n"], lat, echo["vol"])
-        f_eta = ScalarField(grid, read_field(run / "eta.cwf"))
-    return CymConfig(tau=echo["tau"], alpha=echo["alpha"], d=echo["d"],
-                     vol=echo["vol"], lattice=lat, n=echo["n"], f_eta=f_eta,
-                     tol=Tolerances(newton=echo["tol_newton"], ineq=echo["tol_ineq"]))
-
-
-def _rebuild_section_from_sidecar(run: Path, cym: CymConfig):
-    side = __import__("json").loads((run / "section.json").read_text())
-    grid = cym.make_grid()
-    if side["section"] == "constant":
-        return SectionData.constant(grid, side["degree"], side["s0"])
-    zeros = [complex(a, b) for a, b in side["zero_points"]]
-    return build_section(ThetaBundle(cym.lattice, side["degree"], tuple(zeros)), grid)
-
-
-def _load_state(d: Path, grid) -> CymState:
-    return CymState(ScalarField(grid, read_field(d / "psi.cwf")),
-                    ScalarField(grid, read_field(d / "psi2.cwf")),
-                    ScalarField(grid, read_field(d / "phiK.cwf")))
+_SKIPPED = {"newton_iters", "seed", "h1_amp"}   # solve history and represent-ch2 draws
 
 
 def _compare_numbers(rows, prefix, stored: dict, fresh: dict):
-    for key in sorted(stored):
-        if key == "newton_iters":    # solve history, not a function of the state
+    """One row per key of either dict; numbers agree to 1e-8, booleans exactly."""
+    for key in sorted((set(stored) | set(fresh)) - _SKIPPED):
+        a, b = stored.get(key), fresh.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            _compare_numbers(rows, f"{prefix}{key}.", a, b)
             continue
-        a, b = stored[key], fresh.get(key)
-        if isinstance(a, dict):
-            _compare_numbers(rows, f"{prefix}{key}.", a, b or {})
-            continue
-        if not isinstance(a, (int, float)) or isinstance(a, bool):
-            continue
-        ok = b is not None and abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b or 0.0))
+        if isinstance(a, bool) or isinstance(b, bool):
+            ok = isinstance(a, bool) and isinstance(b, bool) and a == b
+        else:
+            ok = (isinstance(a, (int, float)) and isinstance(b, (int, float))
+                  and abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b)))
         rows.append((f"{prefix}{key}", a, b, ok))
 
 
+def _state_replay(d: Path, cym: CymConfig, sec) -> dict:
+    """state_diagnostics of the state stored in d, under the solve's certificate rule."""
+    state = CymState(*(ScalarField(sec.grid, read_field(d / f)) for f in _STATE_FILES))
+    try:
+        return state_diagnostics(state, cym, sec, with_certificate=cym.n <= _CERTIFY_MAX_N)
+    except NotConverged:    # the stored state does not solve; sigma_min is reported missing
+        return state_diagnostics(state, cym, sec, with_certificate=False)
+
+
 def _verify_run(run: Path) -> int:
-    import json as _json
-    manifest = _json.loads((run / "manifest.json").read_text())
-    command = manifest["command"]
-    echo = manifest["config"]
+    """Rebuild the inputs from the manifest echo, load the stored fields, recompute
+    the diagnostics through the function the solve used, and compare."""
+    import json
+    manifest = json.loads((run / "manifest.json").read_text())
+    command, echo, stored = manifest["command"], manifest["config"], manifest["diagnostics"]
     rows = []
-    if command in ("vortex-solve", "cym-continue"):
-        cym = _rebuild_cym_from_echo(echo, run)
-        sec = _rebuild_section_from_sidecar(run, cym)
+    if command == "segre-solve":
+        data, prob = _segre_inputs(build_segre_params(echo))
+        phi = ScalarField(prob.grid, read_field(run / "phi.cwf"))
+        _compare_numbers(rows, "", stored, segre_diagnostics(prob, data, phi)[0])
+    elif command in ("vortex-solve", "cym-continue", "represent-ch2"):
+        if (run / "eta.cwf").exists():      # eta exactly as the run used it
+            echo = {**echo, "eta_file": "eta.cwf", "_dir": str(run)}
+        cym, sec = _torus_inputs(echo)
         if command == "vortex-solve":
-            state = _load_state(run, sec.grid)
-            fresh = state_diagnostics(state, cym.with_alpha(0.0), sec,
-                                      with_certificate="sigma_min" in manifest["diagnostics"])
-            _compare_numbers(rows, "", manifest["diagnostics"], fresh)
-        else:
+            _compare_numbers(rows, "", stored, _state_replay(run, cym, sec))
+        elif command == "cym-continue":
             for line in (run / "records.jsonl").read_text().splitlines():
-                rec = _json.loads(line)
-                state = _load_state(run / rec["state_dir"], sec.grid)
-                fresh = state_diagnostics(state, replace(cym, alpha=rec["alpha"]), sec,
-                                          with_certificate="sigma_min" in rec["diagnostics"])
-                _compare_numbers(rows, f"alpha={rec['alpha']:g}: ",
-                                 rec["diagnostics"], fresh)
-    elif command == "represent-ch2":
-        cym = _rebuild_cym_from_echo(echo, run)
-        sec = _rebuild_section_from_sidecar(run, cym)
-        g = sec.grid
-        h1 = ScalarField(g, read_field(run / "h1.cwf"))
-        f2 = ScalarField(g, read_field(run / "f2.cwf"))
-        fresh = {"defect_sup": represent_ch2_defect(cym, sec, h1, f2),
-                 "f2_min": float(np.min(f2.values)), "f2_max": float(np.max(f2.values)),
-                 "eta_min": float(np.min(cym.eta_values(g)))}
-        _compare_numbers(rows, "", {k: v for k, v in manifest["diagnostics"].items()
-                                    if k in fresh}, fresh)
-    elif command == "segre-solve":
-        grid = BiTorusGrid(echo["n"], echo["n"],
-                           Lattice(echo["lat1_re"] + 1j * echo["lat1_im"]),
-                           Lattice(echo["lat2_re"] + 1j * echo["lat2_im"]), echo["vol"])
-        data = synthetic_conformal_data(grid, echo["r"], echo["epsilon"], echo["seed"])
-        data.kl_const = echo["kl_const"]
-        prob = assemble_ma(data)
-        phi = ScalarField(grid, read_field(run / "phi.cwf"))
-        res = ma_residual(prob, phi).values
-        fresh = {"residual_sup": float(np.max(np.abs(res))),
-                 "residual_resolved_sup": float(np.max(np.abs(grid.project_resolved(res)))),
-                 "certificate": asdict(certify_positivity(data, phi))}
-        _compare_numbers(rows, "", manifest["diagnostics"], fresh)
+                rec = json.loads(line)
+                fresh = _state_replay(run / rec["state_dir"], cym.with_alpha(rec["alpha"]), sec)
+                _compare_numbers(rows, f"alpha={rec['alpha']:g}: ", rec["diagnostics"], fresh)
+        else:
+            h1, f2 = (ScalarField(sec.grid, read_field(run / f)) for f in ("h1.cwf", "f2.cwf"))
+            _compare_numbers(rows, "", stored, represent_ch2_diagnostics(cym, sec, h1, f2))
     else:
         raise ValidationError(f"cannot verify run of command {command!r}")
     ok = True
-    for name, stored, fresh_v, passed in rows:
+    for name, stored_v, fresh_v, passed in rows:
         ok &= passed
-        print(f"{'PASS' if passed else 'FAIL'}  {name}  stored {stored!r} "
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  stored {stored_v!r} "
               f"recomputed {fresh_v!r}")
     print(f"{sum(p for *_, p in rows)}/{len(rows)} stored numbers reproduced")
     return 0 if ok else 2

@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import numpy as np
-
 from .cym import CymConfig, Tolerances
 from .cwf import read_field
 from .errors import ValidationError
@@ -114,7 +112,11 @@ def build_cym_config(cfg: dict, n_override=None, tol_override=None) -> CymConfig
 
 
 def config_echo(cfg: dict, cym: CymConfig, extra: dict | None = None) -> dict:
-    """Canonical echo of the effective configuration for the run manifest."""
+    """Canonical echo of the effective configuration for the run manifest.
+
+    build_cym_config on the echo rebuilds cym, with eta_file resolved against
+    the ``_dir`` key the caller adds.
+    """
     echo = {
         "tau": cym.tau, "alpha": cym.alpha, "d": cym.d, "vol": cym.vol,
         "n": cym.n, "tau_lat_re": cym.lattice.tau_lat.real,
@@ -126,6 +128,8 @@ def config_echo(cfg: dict, cym: CymConfig, extra: dict | None = None) -> dict:
     }
     if "eta_file" in cfg:
         echo["eta_file"] = cfg["eta_file"]
+    if "tol_mean" in cfg:
+        echo["tol_mean"] = get_float(cfg, "tol_mean")
     if extra:
         echo.update(extra)
     return echo
@@ -155,3 +159,11 @@ def build_segre_params(cfg: dict, n_override=None, seed_override=None,
     if params["n"] < 8:
         raise ValidationError(f"segre grid needs n >= 8, got {params['n']}")
     return params
+
+
+def segre_echo(params: dict) -> dict:
+    """Manifest echo of build_segre_params output; build_segre_params inverts it."""
+    echo = {k: v for k, v in params.items() if k not in ("lat1", "lat2")}
+    for k in ("lat1", "lat2"):
+        echo[f"{k}_re"], echo[f"{k}_im"] = params[k].real, params[k].imag
+    return echo

@@ -20,7 +20,7 @@ enforced along the line search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,8 +75,10 @@ def assemble_ma(data: ConformalChernData, mass_tol: float = 1e-8) -> MAProblem:
     return MAProblem(g, r, base, ScalarField(g, rhs))
 
 
-def ma_residual(prob: MAProblem, phi: ScalarField) -> ScalarField:
-    b = prob.base + ddbar(phi)
+def ma_residual(prob: MAProblem, phi: ScalarField,
+                dd: Form11Field | None = None) -> ScalarField:
+    """kappa (base + ddc(phi))^2 - rhs; a caller holding dd = ddc(phi) passes it."""
+    b = prob.base + (ddbar(phi) if dd is None else dd)
     return ScalarField(prob.grid, prob.kappa * wedge_square(b).values - prob.rhs.values)
 
 
@@ -153,15 +155,15 @@ class PositivityCertificate:
     passed: bool
 
 
-def certify_positivity(data: ConformalChernData, phi: ScalarField) -> PositivityCertificate:
-    """Evaluate (c1, c2, segre2) at phi and check the prescribed identities.
+def certify_positivity(data: ConformalChernData, c1: Form11Field, c2: ScalarField,
+                       seg: ScalarField) -> PositivityCertificate:
+    """Check the forms (c1, c2, segre2) = conformal_chern(data, phi) at a solve.
 
     At an exact solution segre2 equals eta pointwise and c2 equals
     ((r-1) eta - (r-1) c1_0^2 + 2r c2_0)/(r+1); the recorded sups measure how
     far the solve is from that.
     """
     r = data.r
-    c1, c2, seg = conformal_chern(data, phi)
     min_c1 = float(np.min(c1.eigmin()))
     min_c2 = float(np.min(c2.values))
     min_seg = float(np.min(seg.values))
@@ -172,6 +174,20 @@ def certify_positivity(data: ConformalChernData, phi: ScalarField) -> Positivity
     c2_sup = float(np.max(np.abs(c2.values - c2_closed)))
     return PositivityCertificate(min_c1, min_c2, min_seg, seg_vs_eta, c2_sup,
                                  passed=min_c1 > 0.0 and min_c2 > 0.0 and min_seg > 0.0)
+
+
+def segre_diagnostics(prob: MAProblem, data: ConformalChernData, phi: ScalarField):
+    """(manifest diagnostics, segre2) at phi; segre-solve and its replay share them.
+
+    One ddc(phi) feeds the residual, the positivity certificate and segre2.
+    """
+    dd = ddbar(phi)
+    res = ma_residual(prob, phi, dd).values
+    c1, c2, seg = conformal_chern(data, phi, dd)
+    diag = {"residual_sup": float(np.max(np.abs(res))),
+            "residual_resolved_sup": float(np.max(np.abs(prob.grid.project_resolved(res)))),
+            "certificate": asdict(certify_positivity(data, c1, c2, seg))}
+    return diag, seg
 
 
 def synthetic_conformal_data(grid: BiTorusGrid, r: int, epsilon: float = 0.05,

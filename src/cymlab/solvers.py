@@ -170,6 +170,14 @@ def solve_psi2(psi: ScalarField, cfg: CymConfig, sec: SectionData) -> ScalarFiel
     return ScalarField(g, g.invert_values(src, cfg.tol.mean_tol(cfg.vol)))
 
 
+def vortex_state(sec: SectionData, cfg: CymConfig,
+                 opts: NewtonOptions | None = None) -> CymState:
+    """The alpha = 0 state: the vortex psi, then psi2 and the eliminated phiK."""
+    psi = solve_vortex(sec, cfg, opts)
+    psi2 = solve_psi2(psi, cfg, sec)
+    return CymState(psi, psi2, eliminate_phiK(psi, psi2, cfg, sec))
+
+
 # -- full-system corrector ----------------------------------------------------
 
 
@@ -310,7 +318,10 @@ def newton_correct(state: CymState, cfg: CymConfig, sec: SectionData,
 
 def state_diagnostics(state: CymState, cfg: CymConfig, sec: SectionData,
                       with_certificate: bool = True, newton_iters: int = 0) -> dict:
-    """Scalar diagnostics reproducible from the stored state fields alone."""
+    """Scalar diagnostics reproducible from the stored state fields alone.
+
+    with_certificate adds sigma_min, which raises ValidationError for n > 64.
+    """
     r1, r2, r3 = residuals(state, cfg, sec)
     lhs, rhs = constraint_integral(state, cfg, sec)
     det = ellipticity_determinant(state, cfg, sec)
@@ -329,7 +340,7 @@ def state_diagnostics(state: CymState, cfg: CymConfig, sec: SectionData,
         "omega_defect_sup": float(np.max(np.abs(omega_recovery_defect(state, cfg, sec).values))),
         "min_weitzenbock": float(np.min(weitzenbock_defect(sec, state.psi).values)),
     }
-    if with_certificate and state.grid.n <= 64:
+    if with_certificate:
         out["sigma_min"] = adjoint_min_singular_value(state, cfg, sec)
     return out
 
@@ -359,10 +370,7 @@ def continue_in_alpha(cfg: CymConfig, sec: SectionData, alphas,
         raise ValidationError("alphas must be strictly increasing")
 
     cfg0 = cfg.with_alpha(0.0)
-    psi = solve_vortex(sec, cfg0, opts)
-    psi2 = solve_psi2(psi, cfg0, sec)
-    phiK = eliminate_phiK(psi, psi2, cfg0, sec)
-    state = CymState(psi, psi2, phiK)
+    state = vortex_state(sec, cfg0, opts)
     records = [ContinuationRecord(0.0, state,
                                   state_diagnostics(state, cfg0, sec, with_certificate))]
     note = "completed"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cymlab.chern import (ch2_form, ch2_form_curvature_route, conformal_chern,
-                          invariance_defect, represent_ch2, represent_ch2_defect,
+                          invariance_defect, represent_ch2, represent_ch2_diagnostics,
                           segre2_rearranged)
 from cymlab.cym import (CymConfig, CymState, alpha_threshold, eliminate_phiK,
                         residuals)
@@ -233,7 +233,7 @@ def test_criterion_6_ch2_and_representability():
         cfg = _cfg(alpha=5.0, f_eta=eta)
         h1 = ScalarField(g32, 0.2 * g32.random_smooth(rng, kmax=3))
         f2 = represent_ch2(cfg, sec32, h1)
-        assert represent_ch2_defect(cfg, sec32, h1, f2) <= 1e-8
+        assert represent_ch2_diagnostics(cfg, sec32, h1, f2)["defect_sup"] <= 1e-8
 
 
 def test_criterion_7_conformal_identities():
@@ -271,11 +271,11 @@ def test_criterion_8_monge_ampere():
             mass = g.integrate_values(wedge_square(total).values)
             base_mass = g.integrate_values(wedge_square(prob.base).values)
             assert abs(mass - base_mass) <= 1e-10 * abs(base_mass)
-            cert = certify_positivity(data, phi)
+            c1, c2, seg = conformal_chern(data, phi)
+            cert = certify_positivity(data, c1, c2, seg)
             assert cert.passed, (r, eps)
             # closed-form c2: exact on the modes the solver controls; the
             # full-sup gap is the invisible spectral tail of the grid
-            c1, c2, _ = conformal_chern(data, phi)
             closed = ((r - 1) * data.eta.values - (r - 1) * wedge_square(c1).values
                       + 2.0 * r * c2.values) / (r + 1.0)
             gap = c2.values - closed

@@ -7,7 +7,7 @@ from dataclasses import replace
 from cymlab.chern import (ConformalChernData, VortexChernForms, ch2_form,
                           ch2_form_curvature_route, conformal_chern,
                           invariance_defect, kl_slack, represent_ch2,
-                          represent_ch2_defect, segre2_rearranged)
+                          represent_ch2_diagnostics, segre2_rearranged)
 from cymlab.cym import CymConfig, CymState, FOUR_PI2, eliminate_phiK
 from cymlab.errors import ValidationError
 from cymlab.grids import (Form11Field, ScalarField, integrate, wedge_square)
@@ -56,7 +56,7 @@ def test_represent_ch2_reconstructs_target(sec32):
     cfg, h1 = _rep_inputs(sec32)
     f2 = represent_ch2(cfg, sec32, h1)
     assert np.min(f2.values) > 0.0
-    assert represent_ch2_defect(cfg, sec32, h1, f2) <= 1e-8
+    assert represent_ch2_diagnostics(cfg, sec32, h1, f2)["defect_sup"] <= 1e-8
 
 
 def test_represent_ch2_potential_identity(sec32):
@@ -106,7 +106,7 @@ def test_represent_ch2_flat_target(sec32):
     f2 = represent_ch2(cfg, sec32, h1)
     u_rec = sec32.S0.values / f2.values + 2.0 * cfg.tau * np.log(f2.values)
     assert np.max(u_rec) - np.min(u_rec) <= 1e-11
-    assert represent_ch2_defect(cfg, sec32, h1, f2) <= 1e-10
+    assert represent_ch2_diagnostics(cfg, sec32, h1, f2)["defect_sup"] <= 1e-10
 
 
 # -- conformal algebra on the product of two tori -----------------------------

@@ -1,13 +1,14 @@
 """End-to-end CLI runs: exit codes, manifests, replay verification, determinism."""
 
 import json
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cymlab.cwf import read_field
+from cymlab.cwf import read_field, write_field
 
 VOL = 4.0 * np.pi ** 2
 
@@ -157,3 +158,52 @@ def test_single_command_determinism(tmp_path):
         if name == "timings.json":
             continue
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """One stored run of each pipeline, made once; tests copy before they edit."""
+    root = tmp_path_factory.mktemp("runs")
+    for cmd, text in (("vortex-solve", SMOKE_CFG), ("cym-continue", CONT_CFG),
+                      ("represent-ch2", REP_CFG)):
+        cfg = _write(root, f"{cmd}.cfg", text)
+        assert run_cli(cmd, "--config", cfg, "--out", root / cmd).returncode == 0
+    assert run_cli("segre-solve", "--out", root / "segre-solve", "--n", 16,
+                   "--seed", 3).returncode == 0
+    return root
+
+
+def _copy(runs, cmd, tmp_path):
+    shutil.copytree(runs / cmd, tmp_path / cmd)
+    return tmp_path / cmd
+
+
+def test_verify_compares_booleans(runs, tmp_path):
+    out = _copy(runs, "segre-solve", tmp_path)
+    m = _manifest(out)
+    assert m["diagnostics"]["certificate"]["passed"] is True
+    m["diagnostics"]["certificate"]["passed"] = False
+    (out / "manifest.json").write_text(json.dumps(m, sort_keys=True, indent=2))
+    v = run_cli("verify", "--run", out)
+    assert v.returncode == 2, v.stdout + v.stderr
+    assert "FAIL  certificate.passed" in v.stdout
+
+
+@pytest.mark.parametrize("cmd, field", [("vortex-solve", "psi.cwf"),
+                                        ("cym-continue", "state_001/psi2.cwf"),
+                                        ("represent-ch2", "f2.cwf"),
+                                        ("segre-solve", "phi.cwf")])
+def test_replay_fails_on_perturbed_field(runs, tmp_path, cmd, field):
+    # the stored run replays clean; after a smooth change along the first axis,
+    # which no gauge (mean, Nyquist line or invisible mode) absorbs, it must not
+    v = run_cli("verify", "--run", runs / cmd)
+    assert v.returncode == 0 and "FAIL" not in v.stdout, v.stdout + v.stderr
+    out = _copy(runs, cmd, tmp_path)
+    v = read_field(out / field)
+    n = v.shape[0]
+    bump = np.cos(2.0 * np.pi * np.arange(n) / n).reshape((n,) + (1,) * (v.ndim - 1))
+    write_field(out / field, v * (1.0 + 1e-3 * bump) if cmd == "represent-ch2"
+                else v + 1e-3 * bump)
+    r = run_cli("verify", "--run", out)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "FAIL" in r.stdout

@@ -1,13 +1,15 @@
 """Field container format, JSON/CSV emitters, config grammar."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cymlab.config import (build_cym_config, build_segre_params, config_echo,
-                           get_float, get_floats, get_int, get_str, load_config,
-                           parse_config)
+from cymlab.config import (_CYM_KEYS, _SEGRE_KEYS, build_cym_config, build_segre_params,
+                           config_echo, get_float, get_floats, get_int, get_str,
+                           load_config, parse_config, segre_echo)
+from cymlab.cym import CymConfig
 from cymlab.cwf import (dump_json, dump_jsonl, read_field, stable_hash,
                         write_field, write_profile_csv)
 from cymlab.errors import ValidationError
@@ -166,3 +168,45 @@ def test_build_segre_params_defaults():
     assert params["kl_const"] == 16.0
     with pytest.raises(ValidationError):
         build_segre_params({"bogus": "1"})
+
+
+def _through_json(obj):
+    return json.loads(json.dumps(obj, sort_keys=True))
+
+
+def test_config_echo_rebuilds_cym_config(tmp_path):
+    # a config that sets every key; the n and tol overrides must land in the echo
+    n = 16
+    x = np.arange(n) / n
+    write_field(tmp_path / "eta.cwf", 1.0 + 0.2 * np.cos(2 * np.pi * x)[:, None]
+                * np.sin(2 * np.pi * x)[None, :])
+    p = tmp_path / "run.cfg"
+    p.write_text(f"tau = 2.5\nalpha = 0.7\nd = 2\nvol = {VOL!r}\nn = 8\n"
+                 "tau_lat_re = 0.21\ntau_lat_im = 1.13\neta_file = eta.cwf\n"
+                 "tol_newton = 1e-9\ntol_ineq = 1e-7\ntol_mean = 1e-11\n"
+                 "section = constant\ns0 = 0.8\nseed = 5\nalphas = 0.0, 0.5\nh1_amp = 0.1\n")
+    cfg = load_config(p)
+    assert set(cfg) == _CYM_KEYS
+    cym = build_cym_config(cfg, n_override=n, tol_override=1e-11)
+    echo = _through_json(config_echo(cfg, cym))
+    assert echo["tol_mean"] == 1e-11
+    back = build_cym_config({**echo, "_dir": cfg["_dir"]})
+    for f in fields(CymConfig):
+        a, b = getattr(cym, f.name), getattr(back, f.name)
+        if f.name == "f_eta":
+            assert a.grid == b.grid and np.array_equal(a.values, b.values)
+        else:
+            assert a == b, f.name
+    # a config without tol_mean echoes none, so older manifests stay unchanged
+    p.write_text(f"tau = 2.0\nd = 1\nvol = {VOL!r}\n")
+    cfg = load_config(p)
+    assert "tol_mean" not in config_echo(cfg, build_cym_config(cfg))
+
+
+def test_segre_echo_rebuilds_params():
+    cfg = {"r": "3", "epsilon": "0.04", "kl_const": "20", "n": "12", "vol": "2.5",
+           "seed": "7", "lat1_re": "0.1", "lat1_im": "1.2", "lat2_re": "-0.2",
+           "lat2_im": "0.8", "tol_res": "1e-9", "_dir": "."}
+    assert set(cfg) == _SEGRE_KEYS
+    params = build_segre_params(cfg, n_override=16, seed_override=3, tol_override=1e-11)
+    assert build_segre_params(_through_json(segre_echo(params))) == params

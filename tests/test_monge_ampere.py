@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from cymlab.chern import ConformalChernData
+from cymlab.chern import ConformalChernData, conformal_chern
 from cymlab.errors import (MassMismatch, NoConvergence, PositivityLost,
                            RhsNotPositive, ValidationError)
 from cymlab.grids import Form11Field, ScalarField, ddbar, wedge_square
@@ -77,7 +77,7 @@ def test_solve_synthetic_suite(bigrid16, r):
     # remainder is invisible to ddbar products and shrinks spectrally with n
     assert np.max(np.abs(g.project_resolved(res.values))) <= 1e-10
     assert np.max(np.abs(res.values)) <= 1e-4
-    cert = certify_positivity(data, phi)
+    cert = certify_positivity(data, *conformal_chern(data, phi))
     assert cert.passed
     assert cert.min_c1_eig > 0.0
     assert cert.min_c2 > 0.0
@@ -91,7 +91,6 @@ def test_solution_satisfies_segre_target(bigrid16):
     # at the solution the second Segre density equals eta up to the invisible tail
     data = synthetic_conformal_data(bigrid16, 2, epsilon=0.05, seed=70)
     phi = solve_ma(assemble_ma(data))
-    from cymlab.chern import conformal_chern
     _, _, seg = conformal_chern(data, phi)
     diff = seg.values - data.eta.values
     assert np.max(np.abs(bigrid16.project_resolved(diff))) <= 1e-10
@@ -114,7 +113,7 @@ def test_epsilon_monotone_certificate(bigrid16):
     for eps in (0.02, 0.2):
         data = synthetic_conformal_data(bigrid16, 2, epsilon=eps, seed=90)
         phi = solve_ma(assemble_ma(data))
-        mins.append(certify_positivity(data, phi).min_c2)
+        mins.append(certify_positivity(data, *conformal_chern(data, phi)).min_c2)
     assert mins[1] < mins[0]
 
 

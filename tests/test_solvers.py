@@ -285,3 +285,15 @@ def test_adjoint_certificate_needs_solved_state(sec32):
                    ScalarField.constant(g, 0.0))
     with pytest.raises(NotConverged):
         adjoint_min_singular_value(bad, cfg, sec32)
+
+
+def test_certificate_request_above_n64_raises():
+    # an explicit certificate request above the desk-scale limit is refused,
+    # not dropped from the diagnostics; the size check needs no solved state
+    g = TorusGrid(72, Lattice(1j), VOL)
+    sec = SectionData.constant(g, 1, 1.0)
+    zero = ScalarField.constant(g, 0.0)
+    with pytest.raises(ValidationError):
+        state_diagnostics(CymState(zero, zero, zero), _cfg(n=72), sec, with_certificate=True)
+    assert "sigma_min" not in state_diagnostics(CymState(zero, zero, zero), _cfg(n=72), sec,
+                                                with_certificate=False)
