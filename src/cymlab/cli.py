@@ -140,6 +140,12 @@ def _sigma_grid_hash(cym: CymConfig) -> dict:
     return {"sigma": stable_hash(cym.n, cym.lattice.tau_lat, cym.vol)}
 
 
+def _continue_summary(steps: int, alpha: float, note: str, diagnostics: dict) -> dict:
+    """The cym-continue manifest diagnostics: the last accepted state's, prefixed."""
+    return {"steps_accepted": steps, "last_alpha": alpha, "note": note,
+            **{f"last_{k}": v for k, v in diagnostics.items()}}
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -191,12 +197,10 @@ def cmd_cym_continue(args) -> int:
     dump_jsonl(out / "records.jsonl", rows)
     files += ["records.jsonl"] + _write_torus_inputs(out, cfg, cym, sec)
     last = records[-1]
-    summary = {"steps_accepted": len(records), "last_alpha": last.alpha,
-               "note": last.note}
-    summary.update({f"last_{k}": v for k, v in last.diagnostics.items()})
     _write_manifest(out, "cym-continue",
-                    config_echo(cfg, cym, {"alphas": alphas}),
-                    _sigma_grid_hash(cym), files, summary, stages)
+                    config_echo(cfg, cym, {"alphas": alphas}), _sigma_grid_hash(cym), files,
+                    _continue_summary(len(records), last.alpha, last.note, last.diagnostics),
+                    stages)
     print(f"accepted {len(records)} states up to alpha = {last.alpha:g}")
     if last.note != "completed":
         print(f"stopped early: {last.note} (last good alpha = {last.alpha:g})")
@@ -390,14 +394,14 @@ _SKIPPED = {"newton_iters", "seed", "h1_amp"}   # solve history and represent-ch
 
 
 def _compare_numbers(rows, prefix, stored: dict, fresh: dict):
-    """One row per key of either dict; numbers agree to 1e-8, booleans exactly."""
+    """One row per key of either dict; numbers agree to 1e-8, bools and strings exactly."""
     for key in sorted((set(stored) | set(fresh)) - _SKIPPED):
         a, b = stored.get(key), fresh.get(key)
         if isinstance(a, dict) and isinstance(b, dict):
             _compare_numbers(rows, f"{prefix}{key}.", a, b)
             continue
-        if isinstance(a, bool) or isinstance(b, bool):
-            ok = isinstance(a, bool) and isinstance(b, bool) and a == b
+        if isinstance(a, (bool, str)) or isinstance(b, (bool, str)):
+            ok = type(a) is type(b) and a == b
         else:
             ok = (isinstance(a, (int, float)) and isinstance(b, (int, float))
                   and abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b)))
@@ -431,10 +435,15 @@ def _verify_run(run: Path) -> int:
         if command == "vortex-solve":
             _compare_numbers(rows, "", stored, _state_replay(run, cym, sec))
         elif command == "cym-continue":
-            for line in (run / "records.jsonl").read_text().splitlines():
+            lines = (run / "records.jsonl").read_text().splitlines()
+            for line in lines:
                 rec = json.loads(line)
                 fresh = _state_replay(run / rec["state_dir"], cym.with_alpha(rec["alpha"]), sec)
                 _compare_numbers(rows, f"alpha={rec['alpha']:g}: ", rec["diagnostics"], fresh)
+            # the summary: run history from records.jsonl, numbers from the last replay
+            fresh["newton_iters"] = rec["diagnostics"].get("newton_iters")
+            _compare_numbers(rows, "summary: ", stored,
+                             _continue_summary(len(lines), rec["alpha"], rec["note"], fresh))
         else:
             h1, f2 = (ScalarField(sec.grid, read_field(run / f)) for f in ("h1.cwf", "f2.cwf"))
             _compare_numbers(rows, "", stored, represent_ch2_diagnostics(cym, sec, h1, f2))

@@ -146,15 +146,6 @@ class TorusGrid:
         return out * (amp / m) if m > 0 else out
 
     @cached_property
-    def dense_laplacian(self) -> np.ndarray:
-        """Real-space matrix of lap_values acting on flattened fields."""
-        n2 = self.n * self.n
-        basis = np.eye(n2).reshape(n2, self.n, self.n)
-        cols = np.real(np.fft.ifft2(self.lap_mult[None, :, :] * np.fft.fft2(basis, axes=(1, 2)),
-                                    axes=(1, 2)))
-        return cols.reshape(n2, n2).T
-
-    @cached_property
     def _nyquist_mask(self) -> np.ndarray:
         m = self.lap_mult == 0.0
         m[0, 0] = False
@@ -168,7 +159,7 @@ class TorusGrid:
         this is the canonical gauge representative.
         """
         f = np.fft.fft2(a)
-        f[self.lap_mult == 0.0] = 0.0
+        f[..., self.lap_mult == 0.0] = 0.0
         return np.real(np.fft.ifft2(f))
 
     def nyquist_part(self, a: np.ndarray) -> np.ndarray:

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse.linalg import LinearOperator, lgmres, lobpcg
 
 from .cym import (FOUR_PI2, CymConfig, CymState, constraint_integral, eliminate_phiK,
                   ellipticity_determinant, omega_recovery_defect, residuals,
@@ -37,6 +36,8 @@ from .grids import ScalarField, TorusGrid
 from .theta import SectionData, weitzenbock_defect
 
 _BORDER_SIGMA = 8.0
+_CERT_MAXITER = 200     # LOBPCG iterations; the reference input needs about 25
+_CERT_RTOL = 1e-10      # eigenpair residual, relative to the preconditioner's largest symbol
 
 
 @dataclass
@@ -320,7 +321,7 @@ def state_diagnostics(state: CymState, cfg: CymConfig, sec: SectionData,
                       with_certificate: bool = True, newton_iters: int = 0) -> dict:
     """Scalar diagnostics reproducible from the stored state fields alone.
 
-    with_certificate adds sigma_min, which raises ValidationError for n > 64.
+    with_certificate adds sigma_min (see adjoint_min_singular_value).
     """
     r1, r2, r3 = residuals(state, cfg, sec)
     lhs, rhs = constraint_integral(state, cfg, sec)
@@ -395,47 +396,58 @@ def continue_in_alpha(cfg: CymConfig, sec: SectionData, alphas,
 # -- adjoint kernel certificate -----------------------------------------------
 
 
-def adjoint_min_singular_value(state: CymState, cfg: CymConfig, sec: SectionData,
-                               tol: float | None = None) -> float:
-    """Smallest singular value of the reduced adjoint-kernel operator on zero-mean q.
+def adjoint_min_singular_value(state: CymState, cfg: CymConfig, sec: SectionData) -> float:
+    """Smallest eigenvalue of -L, the reduced adjoint-kernel operator, on resolved q.
 
     Eliminating the w unknown of the adjoint pair through its algebraic
     relation (with the unknown constant fixed by the zero-average gauge)
-    leaves
+    leaves the symmetric operator
 
         L q = (1/2) lap(q) - (S/4) w_sigma q
               - (alpha/(4 K (2 pi)^2)) (S - tau) lap((S - tau) q),
 
-    K = 8 + d alpha tau/(2 pi vol).  A positive value certifies that the
-    discrete linearized operator is surjective at this state.
+    K = 8 + d alpha tau/(2 pi vol), taken on the modes the Laplacian symbol
+    resolves (the gauge of psi2 and phiK).  A positive value is the smallest
+    singular value there and certifies that the linearized operator is
+    surjective at this state; a value <= 0 fails.  Computed by LOBPCG.
     """
     g = state.grid
-    if g.n > 64:
-        raise ValidationError("adjoint certificate is a desk-scale tool; need n <= 64")
-    tol = tol if tol is not None else cfg.tol.newton
     merit, _ = _corrector_residual(g, cfg, sec, state.psi.values, state.psi2.values)
-    if merit > tol:
-        raise NotConverged(f"certificate needs a solved state: residual {merit:.3e} > {tol:.1e}")
-    S = state.S_values(sec).ravel()
-    w = state.w_sigma_values().ravel()
-    K = 8.0 + cfg.d * cfg.alpha * cfg.tau / (2.0 * np.pi * cfg.vol)
-    D = g.dense_laplacian
+    if merit > cfg.tol.newton:
+        raise NotConverged(f"certificate needs a solved state: residual {merit:.3e} "
+                           f"> {cfg.tol.newton:.1e}")
+    S = state.S_values(sec)
+    sw = S * state.w_sigma_values() / 4.0
     sm = S - cfg.tau
-    L = (0.5 * D - np.diag(S * w / 4.0)
-         - (cfg.alpha / (4.0 * K * FOUR_PI2)) * (sm[:, None] * D * sm[None, :]))
-    n2 = L.shape[0]
-    M = L - np.outer(L.sum(axis=1), np.full(n2, 1.0 / n2))   # restrict to zero-mean input
-    N = M.T @ M
-    lift = float(np.sum(M * M))                              # >= largest eigenvalue of N
-    N += lift / n2                                            # push the constant direction up
-    lam_min = eigh(N, eigvals_only=True, subset_by_index=[0, 0])[0]
-    return float(np.sqrt(max(lam_min, 0.0)))
+    K = 8.0 + cfg.d * cfg.alpha * cfg.tau / (2.0 * np.pi * cfg.vol)
+    c = cfg.alpha / (4.0 * K * FOUR_PI2)
+    # preconditioner: inverse symbol of -L with averaged coefficients, resolved modes only
+    sym = (0.5 - c * float(np.mean(sm * sm))) * (-g.lap_mult) + float(np.mean(sw))
+    inv_sym = np.where(g.lap_mult != 0.0, 1.0 / sym, 0.0)
+
+    def minus_L(X):     # lobpcg blocks are (n*n, k); grid stacks are (k, n, n)
+        q = g.project_resolved(X.T.reshape(-1, *g.shape))
+        y = sw * q + c * sm * g.lap_values(sm * q) - 0.5 * g.lap_values(q)
+        return g.project_resolved(y).reshape(-1, S.size).T
+
+    def precond(X):
+        Y = np.fft.ifft2(inv_sym * np.fft.fft2(X.T.reshape(-1, *g.shape)))
+        return np.real(Y).reshape(-1, S.size).T
+
+    x0 = g.project_resolved(np.random.default_rng(0).standard_normal(g.shape)).reshape(-1, 1)
+    rtol = _CERT_RTOL * float(np.max(sym))
+    # lobpcg is asked for half the residual that the check below accepts
+    (lam,), x = lobpcg(minus_L, x0, M=precond, tol=0.5 * rtol, maxiter=_CERT_MAXITER,
+                       largest=False)
+    res = float(np.linalg.norm(minus_L(x) - lam * x) / np.linalg.norm(x))
+    if not res <= rtol:
+        raise NoConvergence(f"certificate eigensolver residual {res:.3e} > {rtol:.1e}")
+    return float(lam)
 
 
 def adjoint_sigma_min_symbol(cfg: CymConfig, grid: TorusGrid, s0: float) -> float:
     """Fourier-symbol value of the certificate for constant data S = s0, w = 1."""
     K = 8.0 + cfg.d * cfg.alpha * cfg.tau / (2.0 * np.pi * cfg.vol)
     a = 0.5 - cfg.alpha * (s0 - cfg.tau) ** 2 / (4.0 * K * FOUR_PI2)
-    sym = np.abs(a * grid.lap_mult - s0 / 4.0)
-    sym = np.delete(sym.ravel(), 0)   # drop the constant mode
-    return float(np.min(sym))
+    m = grid.lap_mult
+    return float(np.min((s0 / 4.0 - a * m)[m != 0.0]))

@@ -11,6 +11,15 @@ from cymlab.theta import ThetaBundle, build_section
 VOL = 4.0 * np.pi ** 2
 
 
+def dense_laplacian(g: TorusGrid) -> np.ndarray:
+    """Real-space matrix of g.lap_values acting on flattened fields (test oracle)."""
+    n2 = g.n * g.n
+    basis = np.eye(n2).reshape(n2, g.n, g.n)
+    cols = np.real(np.fft.ifft2(g.lap_mult[None, :, :] * np.fft.fft2(basis, axes=(1, 2)),
+                                axes=(1, 2)))
+    return cols.reshape(n2, n2).T
+
+
 @pytest.fixture(scope="session")
 def square_lat():
     return Lattice(1j)

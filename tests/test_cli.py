@@ -189,6 +189,21 @@ def test_verify_compares_booleans(runs, tmp_path):
     assert "FAIL  certificate.passed" in v.stdout
 
 
+@pytest.mark.parametrize("key, value", [("steps_accepted", 7), ("last_alpha", 0.8),
+                                        ("note", "stopped before alpha=1.6"),
+                                        ("last_residual_sup", 0.5), ("last_newton_iters", 9)])
+def test_verify_checks_continue_summary(runs, tmp_path, key, value):
+    # the manifest summary is what the bench gate reads; it must match the replay
+    out = _copy(runs, "cym-continue", tmp_path)
+    m = _manifest(out)
+    assert m["diagnostics"][key] != value
+    m["diagnostics"][key] = value
+    (out / "manifest.json").write_text(json.dumps(m, sort_keys=True, indent=2))
+    v = run_cli("verify", "--run", out)
+    assert v.returncode == 2, v.stdout + v.stderr
+    assert f"FAIL  summary: {key}" in v.stdout
+
+
 @pytest.mark.parametrize("cmd, field", [("vortex-solve", "psi.cwf"),
                                         ("cym-continue", "state_001/psi2.cwf"),
                                         ("represent-ch2", "f2.cwf"),

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import dense_laplacian
+from cymlab import solvers
 from cymlab.cym import (FOUR_PI2, CymConfig, CymState, alpha_threshold, eliminate_phiK,
                         ellipticity_determinant, residuals, satisfaction_value)
 from cymlab.errors import (InfeasibleDegree, NoConvergence, NotConverged,
@@ -129,7 +131,7 @@ def _slaved_jacobian_reference(g, cfg, S, w):
     """Dense (R1, R2) Jacobian with phiK slaved, plus the border, assembled
     from the dense Laplacian and the dense Nyquist projector."""
     n2 = g.n * g.n
-    D = g.dense_laplacian
+    D = dense_laplacian(g)
     eye = np.eye(n2).reshape(n2, *g.shape)
     P = np.array([g.nyquist_part(b).ravel() for b in eye]).T
     Sf, wf = S.ravel(), w.ravel()
@@ -264,18 +266,86 @@ def test_diagnostics_are_plain_floats(sec32):
     assert d["satisfaction"] == pytest.approx(8.0)
 
 
-def test_adjoint_certificate_against_symbol():
+def _certificate_against_symbol(n):
     # constant data: the reduced adjoint operator is a Fourier multiplier, so
-    # the dense certificate must match the symbol minimum
-    g = TorusGrid(16, Lattice(1j), VOL)
+    # the certificate must match the symbol minimum over the resolved modes
+    g = TorusGrid(n, Lattice(1j), VOL)
     sec = SectionData.constant(g, 1, 1.0)
-    cfg = _cfg(n=16, alpha=5.0)
-    st0 = _state0(sec, _cfg(n=16))
+    cfg = _cfg(n=n, alpha=5.0)
+    st0 = _state0(sec, _cfg(n=n))
     st = CymState(st0.psi, st0.psi2, eliminate_phiK(st0.psi, st0.psi2, cfg, sec))
     got = adjoint_min_singular_value(st, cfg, sec)
     s0 = float(np.exp(-st.psi.values[0, 0]))
     want = adjoint_sigma_min_symbol(cfg, g, s0)
     assert got == pytest.approx(want, rel=1e-8)
+    return st, cfg, sec, got
+
+
+def test_adjoint_certificate_against_symbol():
+    _certificate_against_symbol(16)
+
+
+def test_adjoint_certificate_against_symbol_n128():
+    # beyond the reach of a dense n^2 x n^2 eigensolver; state_diagnostics
+    # carries the value at any n, and only on request
+    st, cfg, sec, got = _certificate_against_symbol(128)
+    assert state_diagnostics(st, cfg, sec, with_certificate=True)["sigma_min"] == got
+    assert "sigma_min" not in state_diagnostics(st, cfg, sec, with_certificate=False)
+
+
+def _corrected(sec, alpha):
+    cfg = _cfg(alpha=alpha, n=sec.grid.n, lattice=sec.grid.lattice)
+    return newton_correct(_state0(sec, cfg.with_alpha(0.0)), cfg, sec), cfg
+
+
+def test_adjoint_certificate_dense_oracle(skew_lat):
+    # L assembled densely and restricted to an orthonormal basis of the resolved
+    # zero-mean modes: negative definite, and the matrix-free value is min |eig|
+    g = TorusGrid(16, skew_lat, VOL)
+    sec = build_section(ThetaBundle(skew_lat, 1), g)
+    st, cfg = _corrected(sec, 1.5)
+    S = st.S_values(sec).ravel()
+    w = st.w_sigma_values().ravel()
+    K = 8.0 + cfg.d * cfg.alpha * cfg.tau / (2.0 * np.pi * cfg.vol)
+    D = dense_laplacian(g)
+    sm = S - cfg.tau
+    L = (0.5 * D - np.diag(S * w / 4.0)
+         - (cfg.alpha / (4.0 * K * FOUR_PI2)) * (sm[:, None] * D * sm[None, :]))
+    n2 = S.size
+    P = np.array([g.project_resolved(b).ravel() for b in np.eye(n2).reshape(n2, *g.shape)])
+    pe, pv = np.linalg.eigh(P)
+    Q = pv[:, pe > 0.5]
+    assert Q.shape[1] == (g.n - 1) ** 2 - 1
+    eig = np.linalg.eigvalsh(Q.T @ L @ Q)
+    assert np.max(eig) < 0.0
+    got = adjoint_min_singular_value(st, cfg, sec)
+    assert got == pytest.approx(np.min(np.abs(eig)), rel=1e-10)
+
+
+def test_adjoint_certificate_grid_converged(sec32, sec64):
+    # on resolved modes the certificate measures the continuous operator
+    got = [adjoint_min_singular_value(*_corrected(sec, 1.0), sec) for sec in (sec32, sec64)]
+    assert got[0] == pytest.approx(got[1], rel=1e-9)
+
+
+def test_adjoint_certificate_rounding_stable(sec32):
+    # a rounding-level change of psi moves the value at rounding level
+    cfg = _cfg()
+    rng = np.random.default_rng(35)
+    for rec in continue_in_alpha(cfg, sec32, [0.0, 0.5, 1.0, 1.5], with_certificate=False):
+        st, cfga = rec.state, cfg.with_alpha(rec.alpha)
+        psi = st.psi.values * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, st.psi.values.shape))
+        bumped = CymState(ScalarField(sec32.grid, psi), st.psi2, st.phiK)
+        a = adjoint_min_singular_value(st, cfga, sec32)
+        b = adjoint_min_singular_value(bumped, cfga, sec32)
+        assert abs(a - b) <= 1e-12 * abs(a), rec.alpha
+
+
+def test_adjoint_certificate_nonconvergence_names_stage(sec32, monkeypatch):
+    st = _state0(sec32, _cfg())
+    monkeypatch.setattr(solvers, "_CERT_MAXITER", 1)
+    with pytest.raises(NoConvergence, match="certificate"):
+        adjoint_min_singular_value(st, _cfg(), sec32)
 
 
 def test_adjoint_certificate_needs_solved_state(sec32):
@@ -285,15 +355,3 @@ def test_adjoint_certificate_needs_solved_state(sec32):
                    ScalarField.constant(g, 0.0))
     with pytest.raises(NotConverged):
         adjoint_min_singular_value(bad, cfg, sec32)
-
-
-def test_certificate_request_above_n64_raises():
-    # an explicit certificate request above the desk-scale limit is refused,
-    # not dropped from the diagnostics; the size check needs no solved state
-    g = TorusGrid(72, Lattice(1j), VOL)
-    sec = SectionData.constant(g, 1, 1.0)
-    zero = ScalarField.constant(g, 0.0)
-    with pytest.raises(ValidationError):
-        state_diagnostics(CymState(zero, zero, zero), _cfg(n=72), sec, with_certificate=True)
-    assert "sigma_min" not in state_diagnostics(CymState(zero, zero, zero), _cfg(n=72), sec,
-                                                with_certificate=False)
